@@ -1,15 +1,17 @@
 """Fusion of conjugacy classes under a supplied outer action.
 
-Orbits of classes under conjugation by normalizing permutations, computed as
-a union-find closure of class(x) ~ class(c^-1 x c) over the supplied
-conjugators.  Orbit counts split by p give the quantities n(Aut, Cl_p'),
-n(Aut, Cl_p) and their sum.
+Orbits of classes under conjugation by normalizing permutations: each
+conjugator maps class(x) to class(c x c^-1), found by one batched lookup, and
+the orbits of those maps are labelled by their least class.  Orbit counts
+split by p give the quantities n(Aut, Cl_p'), n(Aut, Cl_p) and their sum.
 """
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .numtheory import p_part
-from .permgroup import ClassTable, PermGroup, conjugate, inverse
+from .permgroup import ClassTable, PermGroup, conjugate, inverse, orbit_labels
 
 
 @dataclass(frozen=True)
@@ -35,40 +37,15 @@ def fuse_classes(table: ClassTable, group: PermGroup, conjugators) -> OrbitParti
                 f"conjugator does not normalize the group; witness generator "
                 f"{witness.tolist()}")
 
-    parent = list(range(len(table.classes)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-
-    # closure: conjugating a representative can land in a class whose own
-    # image has not been computed from that side yet, so iterate to fixpoint
-    pairs = [(c, inverse(c)) for c in conjugators]
-    changed = True
-    while changed:
-        changed = False
-        for i, cls in enumerate(table.classes):
-            for c, cinv in pairs:
-                j = table.class_of(conjugate(c, cls.rep, cinv))
-                if find(i) != find(j):
-                    union(i, j)
-                    changed = True
-
-    roots = sorted({find(i) for i in range(len(parent))})
-    root_to_orbit = {r: k for k, r in enumerate(roots)}
-    orbit_of = tuple(root_to_orbit[find(i)] for i in range(len(parent)))
-    members: list[list[int]] = [[] for _ in roots]
-    for i, o in enumerate(orbit_of):
-        members[o].append(i)
-    return OrbitPartition(orbit_of=orbit_of,
-                         orbits=tuple(tuple(m) for m in members))
+    # conjugation by a normalizing c permutes the classes
+    reps = np.stack([cls.rep for cls in table.classes])
+    maps = [table.classes_of(c[reps[:, inverse(c)]]) for c in conjugators]
+    labels = orbit_labels(maps, len(reps)).tolist()
+    roots = sorted(set(labels))
+    orbit_of = tuple(roots.index(label) for label in labels)
+    orbits = tuple(tuple(i for i, o in enumerate(orbit_of) if o == k)
+                   for k in range(len(roots)))
+    return OrbitPartition(orbit_of=orbit_of, orbits=orbits)
 
 
 @dataclass(frozen=True)

@@ -20,9 +20,9 @@ from math import gcd, isqrt
 import numpy as np
 
 from .numtheory import divisors, factorize, is_prime, p_part
-from .permgroup import (ClassTable, ConsistencyError, PermGroup,
-                        ResourceLimitError, class_counts, conjugate, inverse,
-                        perm_key, power_class_map)
+from .permgroup import (CHUNK, ClassTable, ConsistencyError, PermGroup,
+                        ResourceLimitError, _primitive_root, class_counts,
+                        inverse, inverse_rows, perm_power, power_class_map)
 
 MAX_CLASSES = 80
 MAX_ORDER = 3_000_000
@@ -157,19 +157,16 @@ def dixon_prime(e: int, group_order: int) -> int:
         p += e if e > 1 else 1
 
 
-def _primitive_root_mod(p: int) -> int:
-    phi = p - 1
-    prime_divs = factorize(phi).primes()
-    for g in range(2, p):
-        if all(pow(g, phi // q, p) != 1 for q in prime_divs):
-            return g
-    raise ArithmeticError(f"no primitive root mod {p}")
-
-
 def _root_of_unity(p: int, e: int) -> int:
     """A primitive e-th root of unity mod p (requires e | p-1)."""
-    g = _primitive_root_mod(p)
+    g = _primitive_root(p)
     return pow(g, (p - 1) // e, p)
+
+
+def _root_powers(p: int, e: int) -> np.ndarray:
+    """z^0, ..., z^(e-1) mod p for the primitive e-th root z of `_root_of_unity`."""
+    z = _root_of_unity(p, e)
+    return np.array([pow(z, t, p) for t in range(e)], dtype=np.int64)
 
 
 def _aux_primes(e: int, needed_product: int) -> list[int]:
@@ -189,55 +186,22 @@ def _aux_primes(e: int, needed_product: int) -> list[int]:
 # class algebra
 # ---------------------------------------------------------------------------
 
-def class_members(table: ClassTable, i: int):
-    """All members of class i by conjugation closure from the representative."""
-    rep = table.classes[i].rep
-    seen = {perm_key(rep)}
-    members = [rep]
-    frontier = [rep]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g, ginv in table._gen_pairs:
-                y = conjugate(g, x, ginv)
-                k = perm_key(y)
-                if k not in seen:
-                    seen.add(k)
-                    members.append(y)
-                    nxt.append(y)
-        frontier = nxt
-    if len(members) != table.classes[i].size:
-        raise ConsistencyError("class closure size mismatch")
-    return members
-
-
 def class_matrix(table: ClassTable, i: int) -> np.ndarray:
     """M_i with (M_i)[j][k] = #{(x, y) in C_i x C_j : x y = z_k}.
 
-    Computed by streaming x over C_i and locating j = class(x^-1 z_k)."""
+    Over the members x of C_i (unranked in chunks from the class-id array),
+    column k counts the class ids of the ranks of x^-1 z_k."""
     K = len(table.classes)
+    index = table.group.chain.index
+    rep_base = np.stack([c.rep[index.base] for c in table.classes])
+    members = np.flatnonzero(table.class_id == i)
     M = np.zeros((K, K), dtype=np.int64)
-    reps = [c.rep for c in table.classes]
-    for x in class_members(table, i):
-        xinv = inverse(x)
+    for start in range(0, len(members), CHUNK):
+        xinv = inverse_rows(index.unrank(members[start:start + CHUNK]))
         for k in range(K):
-            j = table.class_of(xinv[reps[k]])
-            M[j][k] += 1
+            ranks = index.rank(xinv[:, rep_base[k]])
+            M[:, k] += np.bincount(table.class_id[ranks], minlength=K)
     return M
-
-
-def class_algebra_constants(table: ClassTable) -> np.ndarray:
-    """The full tensor a[i][j][k]; subject to the class-count cap."""
-    K = len(table.classes)
-    n = table.group.order
-    if K > MAX_CLASSES:
-        raise ResourceLimitError(f"{K} classes exceeds cap {MAX_CLASSES}")
-    if n > MAX_ORDER:
-        raise ResourceLimitError(f"group order {n} exceeds cap {MAX_ORDER}")
-    a = np.zeros((K, K, K), dtype=np.int64)
-    for i in range(K):
-        a[i] = class_matrix(table, i)
-    return a
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +389,7 @@ def character_table(group: PermGroup, table: ClassTable) -> CharacterTable:
         raise ConsistencyError("class matrices failed to separate characters")
 
     # --- normalize, recover degrees and mod-P character values -------------
-    inv_class = [table.class_of(inverse(c.rep)) for c in table.classes]
+    inv_class = table.classes_of([inverse(c.rep) for c in table.classes]).tolist()
     sizes = np.array([c.size for c in table.classes], dtype=np.int64)
     group_divisors = divisors(n)
     rows_mod = []
@@ -455,21 +419,9 @@ def character_table(group: PermGroup, table: ClassTable) -> CharacterTable:
     _check_mod_orthogonality(mod_values, sizes, inv_class, n, P)
 
     # --- exact lift: discrete Fourier transform over power maps ------------
-    z = _root_of_unity(P, e)
-    z_pows = np.zeros(e, dtype=np.int64)
-    acc = 1
-    for t in range(e):
-        z_pows[t] = acc
-        acc = acc * z % P
-    power_class = []
-    for c in table.classes:
-        o = c.order
-        cls = [0] * o
-        g = group.identity()
-        for u in range(o):
-            cls[u] = table.class_of(g)
-            g = c.rep[g]
-        power_class.append(cls)
+    z_pows = _root_powers(P, e)
+    power_class = [table.classes_of([perm_power(c.rep, u) for u in range(c.order)])
+                   .tolist() for c in table.classes]
 
     values: list[list[CycValue]] = []
     for r in range(K):
@@ -548,12 +500,7 @@ def _verify_exact_orthogonality(ct: CharacterTable, sizes, inv_class, n):
     bound = 2 * (max(mass_row, mass_col) + n) * height
     units = [k for k in range(1, e) if gcd(k, e) == 1] or [1]
     for Q in _aux_primes(e, bound):
-        zq = _root_of_unity(Q, e) if e > 1 else 1
-        zq_pows = np.zeros(e, dtype=np.int64)
-        acc = 1
-        for t in range(e):
-            zq_pows[t] = acc
-            acc = acc * zq % Q
+        zq_pows = _root_powers(Q, e)
         # value matrices at each embedding zeta -> zq^k, vectorized over k
         karr = np.array(units, dtype=np.int64)
         stacked = np.zeros((len(units), K, K), dtype=np.int64)
@@ -630,7 +577,6 @@ def _local_unit_gens(p: int, a: int, b: int) -> list[int]:
             return [3]
         return [pa - 1, 5]
     if b == 0:
-        from .permgroup import _primitive_root
         return [_primitive_root(pa)]
     return [(1 + p**b) % pa]
 
@@ -763,15 +709,20 @@ def load_character_table(table: ClassTable, path) -> CharacterTable:
     orthogonality are all re-checked; mismatches raise ConsistencyError."""
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh]
-    head = dict(ln.split(" ", 1) for ln in lines[1:6])
-    if lines[0] != f"{_CACHE_MAGIC} {_CACHE_VERSION}":
+    if not lines or lines[0] != f"{_CACHE_MAGIC} {_CACHE_VERSION}":
         raise ConsistencyError("unrecognized cache header")
+    try:
+        head = dict(ln.split(" ", 1) for ln in lines[1:6])
+        order, e_cached = int(head["order"]), int(head["exponent"])
+        P, K = int(head["prime"]), int(head["characters"])
+    except KeyError as exc:
+        raise ValueError(f"cache header lacks {exc}") from exc
     n = table.group.order
     e = table.exponent
-    if int(head["order"]) != n or int(head["exponent"]) != e:
+    if order != n or e_cached != e:
         raise ConsistencyError("cache does not match the class table")
-    P = int(head["prime"])
-    K = int(head["characters"])
+    if P != dixon_prime(e, n):
+        raise ConsistencyError("cached modular prime is not the Dixon prime")
     if K != len(table.classes):
         raise ConsistencyError("character count does not match class count")
     degrees = []
@@ -800,16 +751,11 @@ def load_character_table(table: ClassTable, path) -> CharacterTable:
         values.append(row)
     if sum(d * d for d in degrees) != n:
         raise ConsistencyError("cached degree squares do not sum to the order")
-    z = _root_of_unity(P, e)
-    z_pows = np.zeros(e, dtype=np.int64)
-    acc = 1
-    for t in range(e):
-        z_pows[t] = acc
-        acc = acc * z % P
+    z_pows = _root_powers(P, e)
     mod_values = np.array([[v.eval_mod(z_pows, P) for v in row]
                            for row in values], dtype=np.int64)
     sizes = np.array([c.size for c in table.classes], dtype=np.int64)
-    inv_class = [table.class_of(inverse(c.rep)) for c in table.classes]
+    inv_class = table.classes_of([inverse(c.rep) for c in table.classes]).tolist()
     _check_mod_orthogonality(mod_values, sizes, inv_class, n, P)
     return CharacterTable(table=table, degrees=degrees, values=values,
                           exponent=e, modular_prime=P, mod_values=mod_values)
@@ -818,7 +764,7 @@ def load_character_table(table: ClassTable, path) -> CharacterTable:
 __all__ = [
     "CycValue", "CharacterTable", "RationalityFlags", "CharacterCounts",
     "MAX_CLASSES", "MAX_ORDER", "cyclotomic_coeffs", "dixon_prime",
-    "class_members", "class_matrix", "class_algebra_constants",
+    "class_matrix",
     "character_table", "classify_rationality", "character_count_report",
     "brauer_cross_check", "save_character_table", "load_character_table",
 ]

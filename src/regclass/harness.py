@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import os
 import time
+import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -24,8 +25,9 @@ from . import __version__
 from .autorbits import fuse_classes, orbit_counts
 from .catalog import CatalogEntry, default_catalog, entry_by_key, extended_catalog
 from .numtheory import EQUAL, GREATER, LESS, cmp_threshold, factorize
-from .permgroup import (DEFAULT_CLASS_CAP, EXTENDED_CLASS_CAP, PermGroup,
-                        ResourceLimitError, as_perm, class_counts,
+from .permgroup import (DEFAULT_CLASS_CAP, EXTENDED_CLASS_CAP,
+                        ConsistencyError, PermGroup, ResourceLimitError,
+                        as_perm, check_class_cap, class_counts,
                         conjugacy_classes, load_class_table, quotient_group,
                         save_class_table)
 from . import chartab
@@ -142,22 +144,45 @@ def built_entry(key: str):
     return entry_by_key(key).build()
 
 
+def _load_cached(path: str, load):
+    """`load(path)` if the cache file exists and verifies; None, with a
+    warning naming the file and the reason, if it is rejected."""
+    if not os.path.exists(path):
+        return None
+    try:
+        return load(path)
+    except (OSError, ValueError, ConsistencyError) as exc:
+        warnings.warn(f"rejected cache file {path}: {type(exc).__name__}: "
+                      f"{exc}; recomputing")
+        return None
+
+
 @lru_cache(maxsize=None)
-def class_table_for(key: str, cap: int = DEFAULT_CLASS_CAP):
+def _class_table(key: str):
     group, _ = built_entry(key)
     d = cache_dir()
     if d:
         path = os.path.join(d, f"classes-{key}-v{__version__}.txt")
-        if os.path.exists(path):
-            try:
-                return load_class_table(group, path)
-            except Exception:
-                pass  # stale or corrupt cache entry: recompute below
-    table = conjugacy_classes(group, cap=cap)
+        table = _load_cached(path, lambda p: load_class_table(group, p))
+        if table is not None:
+            return table
+    # the caller's cap was checked by class_table_for
+    table = conjugacy_classes(group, cap=group.order)
     if d:
         os.makedirs(d, exist_ok=True)
-        save_class_table(table, os.path.join(d, f"classes-{key}-v{__version__}.txt"))
+        save_class_table(table, path)
     return table
+
+
+def class_table_for(key: str, cap: int = DEFAULT_CLASS_CAP):
+    """The class table of a catalog entry, memoized per key.  The cap only
+    gates the call: every cap shares the one table of its key."""
+    group, _ = built_entry(key)
+    check_class_cap(group.order, cap)
+    return _class_table(key)
+
+
+class_table_for.cache_clear = _class_table.cache_clear
 
 
 @lru_cache(maxsize=None)
@@ -165,18 +190,15 @@ def character_table_for(key: str):
     group, _ = built_entry(key)
     table = class_table_for(key)
     d = cache_dir()
-    if d:
-        path = os.path.join(d, f"chars-{key}-v{__version__}.txt")
-        if os.path.exists(path):
-            try:
-                return chartab.load_character_table(table, path)
-            except Exception:
-                pass
+    if not d:
+        return chartab.character_table(group, table)
+    path = os.path.join(d, f"chars-{key}-v{__version__}.txt")
+    ct = _load_cached(path, lambda p: chartab.load_character_table(table, p))
+    if ct is None:
         ct = chartab.character_table(group, table)
         os.makedirs(d, exist_ok=True)
         chartab.save_character_table(ct, path)
-        return ct
-    return chartab.character_table(group, table)
+    return ct
 
 
 @lru_cache(maxsize=None)

@@ -4,15 +4,15 @@ Groups are given by generator permutations on {0..degree-1}.  Permutations are
 numpy arrays (uint8 for degree <= 255, else uint16); composition is fancy
 indexing, (p o q)(i) = p[q(i)], so q is applied first.
 
-Provides exact order via a deterministic stabilizer chain, conjugacy class
-enumeration by conjugation closure over an exhaustive element stream, p-part
-decomposition, class counts, power maps on classes, the Galois fixed-class
-count, and quotient groups by coset action.
+Provides exact order via a deterministic stabilizer chain, a rank index on
+the chain that numbers the elements 0..|G|-1, conjugacy classes labelled over
+those ranks by array operations (a class table is one class id per rank),
+p-part decomposition, class counts, power maps on classes, the Galois
+fixed-class count, and quotient groups by coset action.
 """
 
-import hashlib
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from math import gcd, lcm
 
 import numpy as np
@@ -21,8 +21,7 @@ from .numtheory import p_part
 
 DEFAULT_CLASS_CAP = 3_000_000
 EXTENDED_CLASS_CAP = 20_000_000
-COMPACT_CAP = 400_000  # below this, elements are stored exactly (no hashing)
-INDEX_CAP = 3_000_000  # below this, a full element -> class index is kept
+CHUNK = 1 << 14  # elements per batch in rank-index sweeps
 
 
 class ResourceLimitError(RuntimeError):
@@ -75,6 +74,14 @@ def inverse(p: np.ndarray) -> np.ndarray:
     return inv
 
 
+def inverse_rows(perms: np.ndarray) -> np.ndarray:
+    """The inverse of each row of an N x degree array of permutations."""
+    inv = np.empty_like(perms)
+    inv[np.arange(len(perms))[:, None], perms] = np.arange(perms.shape[1],
+                                                           dtype=perms.dtype)
+    return inv
+
+
 def conjugate(g: np.ndarray, x: np.ndarray, ginv: np.ndarray) -> np.ndarray:
     """g o x o g^-1."""
     return g[x[ginv]]
@@ -117,17 +124,6 @@ def is_identity(p: np.ndarray) -> bool:
 def perm_key(p: np.ndarray) -> bytes:
     """Dedup/dictionary key (byte string, dtype-native)."""
     return p.tobytes()
-
-
-def lex_key(p: np.ndarray) -> bytes:
-    """Byte string whose lexicographic order equals image-tuple order."""
-    if p.dtype == np.uint8:
-        return p.tobytes()
-    return p.astype(">u2").tobytes()
-
-
-def hash128(key: bytes) -> int:
-    return int.from_bytes(hashlib.blake2b(key, digest_size=16).digest(), "little")
 
 
 # ---------------------------------------------------------------------------
@@ -235,31 +231,101 @@ class StabilizerChain:
         residue, level = self.strip(g)
         return level == len(self.base) and is_identity(residue)
 
-    def elements(self):
-        """Every group element exactly once, deterministically."""
-        sorted_transversals = [
-            [t for _, t in sorted(tr.items())] for tr in self.transversals
-        ]
-
-        def rec(level):
-            if level == len(sorted_transversals):
-                yield identity_perm(self.degree)
-                return
-            for h in rec(level + 1):
-                for t in sorted_transversals[level]:
-                    yield compose(t, h)
-
-        if not sorted_transversals:
-            yield identity_perm(self.degree)
-            return
-        yield from rec(0)
+    @cached_property
+    def index(self) -> "RankIndex":
+        return RankIndex(self)
 
     def random_element(self, rng) -> np.ndarray:
         g = identity_perm(self.degree)
-        for tr in self.transversals:
-            keys = sorted(tr)
-            g = compose(g, tr[keys[rng.randrange(len(keys))]])
+        for _, forward, _, _ in self.index.levels:
+            g = g[forward[rng.randrange(len(forward))]]
         return g
+
+
+# ---------------------------------------------------------------------------
+# rank index: a bijection G -> [0, |G|) through the stabilizer chain
+# ---------------------------------------------------------------------------
+
+class RankIndex:
+    """Mixed-radix numbering of the elements of a chained group.
+
+    Every element is g = t_0 o t_1 o ... o t_{L-1}, t_i at position p_i in
+    the sorted orbit of level i, and rank(g) = sum p_i * radix_i (level 0
+    least significant).  t_1.. fix base[0], so g(base[0]) gives p_0; strip
+    t_0 and repeat: the base images determine the rank.  Each level holds
+    (point -> orbit position or -1, transversal rows, inverse rows, radix)."""
+
+    def __init__(self, chain: "StabilizerChain"):
+        check_class_cap(chain.order, (1 << 31) - 1)
+        self.degree = chain.degree
+        self.order = chain.order
+        self.base = np.array(chain.base, dtype=np.intp)
+        # gather indices (row * degree + point) fit int32 below degree 46341
+        self.gather_dtype = np.int32 if self.degree < 46341 else np.int64
+        self.levels = []
+        radix = 1
+        for tr in chain.transversals:
+            orbit = sorted(tr)
+            position = np.full(self.degree, -1, dtype=np.int32)
+            position[orbit] = np.arange(len(orbit))
+            forward = np.stack([tr[x] for x in orbit])
+            self.levels.append((position, forward, inverse_rows(forward), radix))
+            radix *= len(orbit)
+
+    def images(self, ranks, points) -> np.ndarray:
+        """len(ranks) x len(points): the image of each point under the
+        element of each rank."""
+        if len(points) > self.degree:  # whole elements gather less
+            return self.unrank(ranks)[:, points]
+        ranks = np.asarray(ranks, dtype=np.int64)
+        out = np.broadcast_to(np.asarray(points, dtype=perm_dtype(self.degree)),
+                              (len(ranks), len(points)))
+        for _, forward, _, radix in reversed(self.levels):
+            offset = ranks // radix % len(forward) * self.degree
+            out = forward.ravel()[offset.astype(self.gather_dtype)[:, None] + out]
+        return np.array(out)
+
+    def unrank(self, ranks) -> np.ndarray:
+        return self.images(ranks, np.arange(self.degree))
+
+    def rank(self, base_images) -> np.ndarray:
+        """Ranks of the group elements with the given rows of base images;
+        -1 where an image leaves its orbit.  Only rows that come from group
+        elements are ranked correctly: `sift` checks arbitrary permutations."""
+        images = np.array(base_images, dtype=perm_dtype(self.degree))
+        ranks = np.zeros(len(images), dtype=np.int64)
+        outside = np.zeros(len(images), dtype=bool)
+        for i, (position, _, inv, radix) in enumerate(self.levels):
+            pos = position[images[:, i]].astype(self.gather_dtype)
+            outside |= pos < 0
+            pos[pos < 0] = 0
+            ranks += pos * radix
+            offset = pos * self.degree
+            images[:, i + 1:] = inv.ravel()[offset[:, None] + images[:, i + 1:]]
+        ranks[outside] = -1
+        return ranks.astype(np.int32)
+
+    def sift_one(self, perm: np.ndarray) -> int:
+        """Rank of one permutation, -1 if it is outside the group: strip it
+        level by level and require the identity as the residue."""
+        rank = 0
+        for b, (position, _, inv, radix) in zip(self.base.tolist(), self.levels):
+            pos = int(position[perm[b]])
+            if pos < 0:
+                return -1
+            rank += pos * radix
+            perm = inv[pos][perm]
+        return rank if is_identity(perm) else -1
+
+    def sift(self, perms) -> np.ndarray:
+        """Ranks of the given permutations, -1 for rows outside the group: a
+        row is a member iff it is the element its base images rank to."""
+        perms = np.asarray(perms)
+        ranks = self.rank(perms[:, self.base])
+        inside = ranks >= 0
+        inside[inside] = (self.unrank(ranks[inside]) == perms[inside]).all(axis=1)
+        ranks[~inside] = -1
+        return ranks
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +366,10 @@ class PermGroup:
         return self.chain.contains(as_perm(g, self.degree))
 
     def elements(self):
-        return self.chain.elements()
+        """Every group element exactly once, in rank order."""
+        for start in range(0, self.order, CHUNK):
+            yield from self.chain.index.unrank(
+                np.arange(start, min(start + CHUNK, self.order)))
 
     def random_element(self, rng) -> np.ndarray:
         return self.chain.random_element(rng)
@@ -315,26 +384,10 @@ class PermGroup:
         return all(self.contains(conjugate(c, g, cinv)) for g in self.generators)
 
     def orbits_on_points(self) -> list[list[int]]:
-        seen = [False] * self.degree
-        orbits = []
-        for start in range(self.degree):
-            if seen[start]:
-                continue
-            orbit = [start]
-            seen[start] = True
-            frontier = [start]
-            while frontier:
-                nxt = []
-                for x in frontier:
-                    for g in self.generators:
-                        y = int(g[x])
-                        if not seen[y]:
-                            seen[y] = True
-                            orbit.append(y)
-                            nxt.append(y)
-                frontier = nxt
-            orbits.append(sorted(orbit))
-        return orbits
+        orbits: dict[int, list[int]] = {}
+        for x, label in enumerate(orbit_labels(self.generators, self.degree).tolist()):
+            orbits.setdefault(label, []).append(x)
+        return list(orbits.values())
 
 
 # ---------------------------------------------------------------------------
@@ -352,20 +405,17 @@ class ClassTable:
     """Canonical conjugacy class list.
 
     Classes sorted by (element order, class size, lex-least representative);
-    the identity class is index 0.  `class_of` locates the class of an
-    arbitrary group element; the lookup strategy depends on group size
-    (exact map, hashed map, or closure search).
+    the identity class is index 0.  `class_id[r]` is the class index of the
+    element of rank r in the group's rank index; `classes_of` sifts rows to
+    ranks, rejecting any outside the group, and reads that array.
     """
 
     def __init__(self, group: PermGroup, classes: list[ConjugacyClass],
-                 index: dict | None, index_kind: str):
+                 class_id: np.ndarray):
         self.group = group
         self.classes = classes
+        self.class_id = class_id
         self.exponent = reduce(lcm, (c.order for c in classes), 1)
-        self._index = index
-        self._index_kind = index_kind  # 'exact' | 'hashed' | 'search'
-        self._lexrep_to_id = {lex_key(c.rep): i for i, c in enumerate(classes)}
-        self._gen_pairs = [(g, inverse(g)) for g in group.generators]
 
     def __len__(self):
         return len(self.classes)
@@ -378,115 +428,121 @@ class ClassTable:
     def orders(self):
         return [c.order for c in self.classes]
 
-    def class_of(self, x) -> int:
-        if not isinstance(x, np.ndarray):
-            x = as_perm(x, self.group.degree)
-        if self._index_kind == "exact":
-            cid = self._index.get(perm_key(x))
-        elif self._index_kind == "hashed":
-            cid = self._index.get(hash128(perm_key(x)))
-        else:
-            cid = self._search_class(x)
-        if cid is None:
+    def classes_of(self, perms) -> np.ndarray:
+        """Class index of each row of an N x degree array."""
+        perms = np.asarray(perms)
+        degree = self.group.degree
+        if perms.ndim != 2 or perms.shape[1] != degree:
+            raise ValueError(f"expected rows of {degree} images")
+        if perms.size and (perms.min() < 0 or perms.max() >= degree):
+            raise ValueError("image out of range")
+        ranks = self.group.chain.index.sift(perms)
+        if (ranks < 0).any():
             raise ValueError("element not in the enumerated group")
-        return cid
+        return self.class_id[ranks]
 
-    def _search_class(self, x: np.ndarray) -> int | None:
-        """Conjugation closure from x, tracking the lex-least member, until
-        the closure completes; match against the canonical representatives."""
-        best = lex_key(x)
-        seen = {hash128(perm_key(x))}
-        frontier = [x]
-        while frontier:
-            nxt = []
-            for y in frontier:
-                for g, ginv in self._gen_pairs:
-                    z = conjugate(g, y, ginv)
-                    h = hash128(perm_key(z))
-                    if h not in seen:
-                        seen.add(h)
-                        nxt.append(z)
-                        k = lex_key(z)
-                        if k < best:
-                            best = k
-            frontier = nxt
-        return self._lexrep_to_id.get(best)
+    def class_of(self, x) -> int:
+        rank = self.group.chain.index.sift_one(as_perm(x, self.group.degree))
+        if rank < 0:
+            raise ValueError("element not in the enumerated group")
+        return int(self.class_id[rank])
 
 
-def conjugacy_classes(group: PermGroup, cap: int = DEFAULT_CLASS_CAP) -> ClassTable:
-    """Enumerate the conjugacy classes of `group`.
-
-    Every element is streamed exactly once from the stabilizer chain; each
-    yet-unclassified element seeds a breadth-first conjugation closure that
-    collects its whole class.  Below COMPACT_CAP elements are stored exactly;
-    above it only 128-bit hashes are kept, and the exact class equation
-    (sizes summing to |G|) is verified at the end, which detects any hash
-    collision (a collision can only lose elements, never add them).
-    """
-    n = group.order
-    if n > cap:
+def check_class_cap(order: int, cap: int) -> None:
+    if order > cap:
         raise ResourceLimitError(
-            f"group order {n} exceeds enumeration cap {cap}")
-    compact = n <= COMPACT_CAP
-    keep_index = n <= INDEX_CAP
-    key_of = perm_key if compact else (lambda p: hash128(perm_key(p)))
+            f"group order {order} exceeds enumeration cap {cap}")
 
-    assigned: dict = {}  # key -> provisional class id (dict even in set-mode)
-    found = []  # (lex-min rep array, size, order)
-    gen_pairs = [(g, inverse(g)) for g in group.generators]
 
-    for g in group.elements():
-        k = key_of(g)
-        if k in assigned:
-            continue
-        cid = len(found)
-        assigned[k] = cid
-        best = g
-        best_key = lex_key(g)
-        size = 1
-        frontier = [g]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for s, sinv in gen_pairs:
-                    y = conjugate(s, x, sinv)
-                    ky = key_of(y)
-                    if ky not in assigned:
-                        assigned[ky] = cid
-                        size += 1
-                        nxt.append(y)
-                        lk = lex_key(y)
-                        if lk < best_key:
-                            best_key = lk
-                            best = y
-            frontier = nxt
-        found.append((best, size, perm_order(best)))
+def orbit_labels(actions, n: int) -> np.ndarray:
+    """Least point of the orbit of each of 0..n-1 under the given int arrays
+    (maps of 0..n-1 into itself).  A label is always a point of the same
+    orbit and never above its own point.  Each round hooks the labels of the
+    labels of x and act[x] to the smaller of the two, then jumps pointers
+    (labels[labels]) to a fixpoint, until every map preserves the labels."""
+    labels = np.arange(n, dtype=np.int32)
+    while True:
+        for act in actions:
+            ahead = labels[act]
+            least = np.minimum(labels, ahead)
+            np.minimum.at(labels, labels.copy(), least)
+            np.minimum.at(labels, ahead, least)
+        while not np.array_equal(jumped := labels[labels], labels):
+            labels = jumped
+        if all(np.array_equal(labels, labels[act]) for act in actions):
+            return labels
 
-    total = sum(size for _, size, _ in found)
-    if total != n:
-        raise ConsistencyError(
-            f"class sizes sum to {total}, group order is {n} "
-            "(possible hash collision); aborting")
-    for _, size, _ in found:
-        if n % size:
-            raise ConsistencyError("class size does not divide group order")
 
+def _conjugation_actions(index: RankIndex, generators) -> list[np.ndarray]:
+    """For each generator s, the map r -> rank(s x_r s^-1) of the ranks,
+    from base images only: (s x s^-1)(b) = s[x[s^-1[b]]].  Each chunk also
+    re-ranks its own base images, which must give the chunk back."""
+    n, width = index.order, len(index.base)
+    points = np.concatenate([index.base] + [inverse(s)[index.base]
+                                            for s in generators])
+    actions = [np.empty(n, dtype=np.int32) for _ in generators]
+    for start in range(0, n, CHUNK):
+        ranks = np.arange(start, min(start + CHUNK, n), dtype=np.int32)
+        images = index.images(ranks, points)
+        if not np.array_equal(index.rank(images[:, :width]), ranks):
+            raise ConsistencyError("rank index is not a bijection on this chunk")
+        for j, s in enumerate(generators, 1):
+            actions[j - 1][ranks] = index.rank(s[images[:, width * j:width * (j + 1)]])
+    if any((act < 0).any() for act in actions):
+        raise ConsistencyError("a conjugate left the group")
+    return actions
+
+
+def _lex_least(index: RankIndex, class_id: np.ndarray, k: int) -> np.ndarray:
+    """Rank of the lex-least member of each of the k classes: candidates are
+    filtered point by point to those whose image of the point is least in
+    their class, until one per class is left."""
+    cand = np.arange(index.order, dtype=np.int32)
+    for point in range(index.degree):
+        if len(cand) == k:
+            break
+        image = np.concatenate([index.images(cand[i:i + CHUNK], [point])[:, 0]
+                                for i in range(0, len(cand), CHUNK)])
+        least = np.full(k, index.degree, dtype=np.int32)
+        np.minimum.at(least, class_id[cand], image)
+        cand = cand[image == least[class_id[cand]]]
+    if len(cand) != k:
+        raise ConsistencyError("distinct elements share every image")
+    return cand[np.argsort(class_id[cand])]
+
+
+def _classify(group: PermGroup) -> ClassTable:
+    """The classes are the orbits of the generators' conjugation actions on
+    the ranks; sizes are label counts, representatives the lex-least."""
+    index = group.chain.index
+    n = index.order
+    labels = orbit_labels(_conjugation_actions(index, group.generators), n)
+    roots = labels == np.arange(n, dtype=np.int32)
+    k = int(roots.sum())
+    found_id = (np.cumsum(roots, dtype=np.int32) - 1)[labels]
+    sizes = np.bincount(found_id, minlength=k).tolist()
+    reps = index.unrank(_lex_least(index, found_id, k))
+    if sum(sizes) != n:
+        raise ConsistencyError(f"class sizes sum to {sum(sizes)}, group order is {n}")
+    if any(n % size for size in sizes):
+        raise ConsistencyError("class size does not divide group order")
+    orders = [perm_order(r) for r in reps]
     # canonical order: (element order, class size, lex-least representative)
-    perm_sort = sorted(range(len(found)),
-                       key=lambda i: (found[i][2], found[i][1], lex_key(found[i][0])))
-    classes = [ConjugacyClass(rep=found[i][0], size=found[i][1], order=found[i][2])
+    images = reps.tolist()
+    perm_sort = sorted(range(k), key=lambda i: (orders[i], sizes[i], images[i]))
+    classes = [ConjugacyClass(rep=reps[i], size=sizes[i], order=orders[i])
                for i in perm_sort]
     if classes[0].order != 1 or classes[0].size != 1:
         raise ConsistencyError("identity class is not first")
+    remap = np.empty(k, dtype=np.int32)
+    remap[perm_sort] = np.arange(k, dtype=np.int32)
+    return ClassTable(group, classes, remap[found_id])
 
-    if keep_index:
-        remap = {old: new for new, old in enumerate(perm_sort)}
-        index = {k: remap[v] for k, v in assigned.items()}
-        kind = "exact" if compact else "hashed"
-    else:
-        index = None
-        kind = "search"
-    return ClassTable(group, classes, index, kind)
+
+def conjugacy_classes(group: PermGroup, cap: int = DEFAULT_CLASS_CAP) -> ClassTable:
+    """Enumerate the conjugacy classes of `group` on its rank index."""
+    check_class_cap(group.order, cap)
+    return _classify(group)
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +590,8 @@ def power_class_map(table: ClassTable, k: int) -> list[int]:
     e = table.exponent
     if gcd(k, e) != 1:
         raise ValueError(f"k={k} is not coprime to the exponent {e}")
-    return [table.class_of(perm_power(c.rep, k)) for c in table.classes]
+    powers = np.stack([perm_power(c.rep, k) for c in table.classes])
+    return table.classes_of(powers).tolist()
 
 
 def galois_fixed_class_count(table: ClassTable, p: int) -> int:
@@ -597,10 +654,6 @@ def quotient_group(group: PermGroup, normal_gens, name: str | None = None,
 
     # orbit fingerprint of a coset gN: the image of each N-orbit under g
     n_orbits = n_group.orbits_on_points()
-    point_orbit = [0] * group.degree
-    for oid, orb in enumerate(n_orbits):
-        for x in orb:
-            point_orbit[x] = oid
 
     def fingerprint(g):
         return tuple(frozenset(int(g[x]) for x in orb) for orb in n_orbits)
@@ -681,52 +734,50 @@ def save_class_table(table: ClassTable, path):
         fh.write("\n".join(lines) + "\n")
 
 
-def load_class_table(group: PermGroup, path, spot_checks: int = 10) -> ClassTable:
-    """Reread a cached table and verify it against `group`.
-
-    Recomputes the class-equation sum and spot-checks that random conjugates
-    of representatives stay inside their stated class (via closure search)."""
-    import random
-
+def load_class_table(group: PermGroup, path) -> ClassTable:
+    """Reread a cached table and verify it against `group`: the group is
+    labelled afresh and every cached row (class count, size, element order,
+    lex-least representative) must match exactly.  A malformed file raises
+    ValueError."""
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh]
-    head, ver = lines[0].split()
-    if head != "regclass-classtable" or int(ver) != CACHE_FORMAT_VERSION:
-        raise ValueError("unrecognized cache file format")
-    degree = int(lines[1].split()[1])
-    order = int(lines[2].split()[1])
-    gen_field = lines[3].split(" ", 1)[1] if " " in lines[3] else ""
+    try:
+        head, ver = lines[0].split()
+        if head != "regclass-classtable" or int(ver) != CACHE_FORMAT_VERSION:
+            raise ValueError("unrecognized cache file format")
+        degree = int(lines[1].split()[1])
+        order = int(lines[2].split()[1])
+        gen_field = lines[3].split(" ", 1)[1] if " " in lines[3] else ""
+        count = int(lines[4].split()[1])
+    except IndexError as exc:
+        raise ValueError("truncated class-table cache header") from exc
     gens = [tuple(map(int, part.split(","))) for part in gen_field.split(";") if part]
-    count = int(lines[4].split()[1])
     if degree != group.degree or order != group.order:
         raise ConsistencyError("cache does not match the group")
     if sorted(map(tuple, (g.tolist() for g in group.generators))) != sorted(gens):
         raise ConsistencyError("cache generator list does not match the group")
-    classes = []
+    cached = []
     for line in lines[5:5 + count]:
         size_s, order_s, rep_s = line.split(" ", 2)
         rep = as_perm(tuple(map(int, rep_s.split(","))), degree)
-        classes.append(ConjugacyClass(rep=rep, size=int(size_s), order=int(order_s)))
-    if sum(c.size for c in classes) != order:
-        raise ConsistencyError("cached class sizes do not sum to the group order")
-    table = ClassTable(group, classes, None, "search")
-    rng = random.Random(0)
-    for _ in range(min(spot_checks, len(classes))):
-        i = rng.randrange(len(classes))
-        conj_by = group.random_element(rng)
-        moved = conjugate(conj_by, classes[i].rep, inverse(conj_by))
-        if table.class_of(moved) != i:
-            raise ConsistencyError("cached class failed the conjugacy spot check")
+        cached.append((int(size_s), int(order_s), rep.tolist()))
+    table = _classify(group)
+    fresh = [(c.size, c.order, c.rep.tolist()) for c in table.classes]
+    if count != len(cached) or cached != fresh:
+        bad = next((i for i, (a, b) in enumerate(zip(cached, fresh)) if a != b),
+                   min(len(cached), len(fresh)))
+        raise ConsistencyError(f"cached class {bad} does not match the group")
     return table
 
 
 __all__ = [
-    "PermGroup", "StabilizerChain", "ClassTable", "ConjugacyClass",
+    "PermGroup", "StabilizerChain", "RankIndex", "ClassTable", "ConjugacyClass",
     "ClassCounts", "ResourceLimitError", "ConsistencyError",
     "identity_perm", "as_perm", "perm_from_cycles", "compose", "inverse",
-    "conjugate", "perm_power", "perm_order", "is_identity", "perm_key",
-    "lex_key", "conjugacy_classes", "p_part_split", "class_counts",
+    "inverse_rows", "conjugate", "perm_power", "perm_order", "is_identity",
+    "perm_key", "conjugacy_classes", "check_class_cap",
+    "orbit_labels", "p_part_split", "class_counts",
     "power_class_map", "galois_fixed_class_count", "quotient_group",
     "burnside_class_count", "save_class_table", "load_class_table",
-    "DEFAULT_CLASS_CAP", "EXTENDED_CLASS_CAP",
+    "DEFAULT_CLASS_CAP", "EXTENDED_CLASS_CAP", "CHUNK",
 ]

@@ -1,6 +1,7 @@
 """Verification harness: reports, module-bound checks, small suites."""
 
 import json
+import re
 
 import pytest
 
@@ -10,9 +11,10 @@ from regclass.harness import (CAPS, SCHEMA_VERSION, CaseRecord,
                               is_sharp_frobenius, module_bound_fixtures,
                               parse_report, quotient_pairs, verify_lemma72,
                               verify_lemma81, verify_table1)
+from regclass import chartab, harness
 from regclass.harness import _cyclic_perm_group, class_table_for
 from regclass.catalog import entry_by_key
-from regclass.permgroup import class_counts
+from regclass.permgroup import class_counts, conjugacy_classes
 
 
 # ---------------------------------------------------------------------------
@@ -147,3 +149,54 @@ def test_chartab_feasible():
     assert chartab_feasible(entry_by_key("psl2(7)"))
     # order above the character-table cap: rejected without any class work
     assert not chartab_feasible(entry_by_key("psl2(243)"))
+
+
+# ---------------------------------------------------------------------------
+# disk caches
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def fresh_cache(tmp_path, monkeypatch):
+    """A cache directory with nothing memoized in front of it."""
+    monkeypatch.setenv("REGCLASS_CACHE_DIR", str(tmp_path))
+    class_table_for.cache_clear()
+    harness.character_table_for.cache_clear()
+    yield tmp_path
+    class_table_for.cache_clear()
+    harness.character_table_for.cache_clear()
+
+
+def test_tampered_class_cache_warns_and_recomputes(fresh_cache):
+    key = "sym(4)"
+    class_table_for(key)
+    path = fresh_cache / f"classes-{key}-v{harness.__version__}.txt"
+    # swap the sizes of the two order-2 classes (3 and 6): the sum still holds
+    lines = path.read_text().splitlines()
+    (s3, r3), (s6, r6) = (ln.split(" ", 1) for ln in lines[6:8])
+    lines[6:8] = [f"{s6} {r3}", f"{s3} {r6}"]
+    path.write_text("\n".join(lines) + "\n")
+    class_table_for.cache_clear()
+    reason = rf"rejected cache file .*{re.escape(path.name)}.*ConsistencyError"
+    with pytest.warns(UserWarning, match=reason):
+        table = class_table_for(key)
+    fresh = conjugacy_classes(harness.built_entry(key)[0])
+    assert [(c.size, c.order, c.rep.tolist()) for c in table.classes] == \
+        [(c.size, c.order, c.rep.tolist()) for c in fresh.classes]
+    assert (table.class_id == fresh.class_id).all()
+
+
+def test_tampered_character_cache_warns_and_recomputes(fresh_cache):
+    key = "alt(5)"
+    harness.character_table_for(key)
+    path = fresh_cache / f"chars-{key}-v{harness.__version__}.txt"
+    lines = path.read_text().splitlines()
+    assert lines[4].startswith("prime ")
+    lines[4] = f"prime {int(lines[4].split()[1]) + 60}"
+    path.write_text("\n".join(lines) + "\n")
+    harness.character_table_for.cache_clear()
+    with pytest.warns(UserWarning, match=rf"rejected cache file .*{re.escape(path.name)}"
+                      r".*ConsistencyError"):
+        ct = harness.character_table_for(key)
+    fresh = chartab.character_table(harness.built_entry(key)[0],
+                                    class_table_for(key))
+    assert ct.degrees == fresh.degrees and ct.values == fresh.values

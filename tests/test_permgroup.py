@@ -1,6 +1,7 @@
 """Permutation engine: arithmetic, stabilizer chains, conjugacy classes."""
 
 import itertools
+from functools import lru_cache
 from math import gcd, lcm
 
 import random
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from regclass.catalog import entry_by_key
+from regclass.catalog import default_catalog, entry_by_key
 from regclass.numtheory import factorize, p_part
 from regclass.permgroup import (ConsistencyError, PermGroup,
                                 ResourceLimitError, as_perm,
@@ -132,6 +133,138 @@ def test_contains():
     for e in group.elements():
         assert group.contains(e)
     assert not group.contains(as_perm([1, 0, 2, 3, 4], 5))  # odd permutation
+
+
+# ---------------------------------------------------------------------------
+# rank index
+# ---------------------------------------------------------------------------
+
+RANK_KEYS = ["cyclic(12)", "dihedral(7)", "frobenius(11,5)", "sym(5)",
+             "alt(6)", "psl2(7)", "sl2(5)", "sp4(2)", "psl2(27)", "sp4(3)"]
+
+
+@lru_cache(maxsize=None)
+def _group(key):
+    return entry_by_key(key).build()[0]
+
+
+@lru_cache(maxsize=None)
+def _table(key):
+    return conjugacy_classes(_group(key))
+
+
+@given(st.sampled_from(RANK_KEYS), st.data())
+def test_rank_inverts_unrank(key, data):
+    group = _group(key)
+    index = group.chain.index
+    ranks = np.array(data.draw(st.lists(st.integers(0, group.order - 1),
+                                        min_size=1, max_size=16)))
+    elements = index.unrank(ranks)
+    assert (index.rank(elements[:, index.base]) == ranks).all()
+    assert (index.sift(elements) == ranks).all()
+    assert [index.sift_one(g) for g in elements] == ranks.tolist()
+    assert all(group.contains(g) for g in elements)
+
+
+def test_elements_follow_transversal_mixed_radix_order():
+    # rank = sum p_i radix_i with level 0 least significant is the order of
+    # the transversal-product stream t_0 o t_1 o ... o t_{L-1}
+    group = _group("psl2(7)")
+    expected = [identity_perm(group.degree)]
+    for tr in reversed(group.chain.transversals):
+        expected = [compose(tr[x], h) for h in expected for x in sorted(tr)]
+    assert [g.tolist() for g in group.elements()] == [g.tolist() for g in expected]
+
+
+@given(st.sampled_from([k for k in RANK_KEYS if k not in ("sym(5)", "sl2(5)")]),
+       st.data())
+def test_class_of_rejects_member_base_images_outside_group(key, data):
+    group = _group(key)
+    index = group.chain.index
+    free = sorted(set(range(group.degree)) - set(index.base.tolist()))
+    a, b = data.draw(st.lists(st.sampled_from(free), min_size=2, max_size=2,
+                              unique=True))
+    g = index.unrank([data.draw(st.integers(0, group.order - 1))])[0]
+    fake = g.copy()
+    fake[[a, b]] = g[[b, a]]
+    # the base images of g determine g, so fake is outside the group
+    assert (fake[index.base] == g[index.base]).all()
+    assert not group.contains(fake)
+    with pytest.raises(ValueError, match="not in the enumerated group"):
+        _table(key).class_of(fake)
+    with pytest.raises(ValueError, match="not in the enumerated group"):
+        _table(key).classes_of(np.stack([g, fake]))
+    assert index.sift_one(fake) == -1
+
+
+def _closure(start, step):
+    """Everything reachable from the tuples in `start` by `step`, which maps
+    a tuple to its neighbours."""
+    seen = set(start)
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for y in step(x):
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return seen
+
+
+def _cycle_order(images):
+    seen = set()
+    order = 1
+    for start in range(len(images)):
+        if start in seen:
+            continue
+        length, x = 0, start
+        while x not in seen:
+            seen.add(x)
+            x = images[x]
+            length += 1
+        order = lcm(order, length)
+    return order
+
+
+def _reference_classes(group):
+    """Conjugacy classes by a plain generator-conjugation closure over image
+    tuples: the sorted (order, size, lex-least rep) list, and the class
+    index of each element."""
+    n = group.degree
+    gens = [tuple(int(x) for x in g) for g in group.generators]
+    invs = [tuple(sorted(range(n), key=g.__getitem__)) for g in gens]
+    elements = _closure([tuple(range(n))],
+                        lambda e: [tuple(g[x] for x in e) for g in gens])
+    class_key = {}
+    for x in sorted(elements):
+        if x in class_key:
+            continue
+        members = _closure([x], lambda z: [
+            tuple(g[z[ginv[i]]] for i in range(n)) for g, ginv in zip(gens, invs)])
+        rep = min(members)
+        key = (_cycle_order(rep), len(members), rep)
+        for y in members:
+            class_key[y] = key
+    classes = sorted(set(class_key.values()))
+    position = {key: i for i, key in enumerate(classes)}
+    return classes, {x: position[key] for x, key in class_key.items()}
+
+
+@pytest.mark.parametrize("key", [e.key for e in sorted(
+    default_catalog(), key=lambda e: (e.order, e.key)) if e.order <= 20_000])
+def test_classes_match_reference_closure(key):
+    group = _group(key)
+    table = conjugacy_classes(group)
+    classes, class_of = _reference_classes(group)
+    assert [(c.order, c.size, tuple(c.rep.tolist())) for c in table.classes] \
+        == classes
+    elements = sorted(class_of)
+    assert table.classes_of(np.array(elements)).tolist() == \
+        [class_of[x] for x in elements]
+    assert [table.class_of(np.array(rep)) for _, _, rep in classes] == \
+        list(range(len(classes)))
 
 
 # ---------------------------------------------------------------------------
@@ -304,5 +437,44 @@ def test_class_table_load_detects_tampering(tmp_path):
     size, rest = lines[5].split(" ", 1)  # first class line: "size order rep"
     lines[5] = f"{int(size) + 1} {rest}"
     path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConsistencyError):
+        load_class_table(group, path)
+
+
+def _tampered_cache(tmp_path, key, edit):
+    """A saved class table of `key` with its class lines passed through
+    `edit` (a function of the list of (size, order, rep) line fields)."""
+    group = _group(key)
+    path = tmp_path / "classes.txt"
+    save_class_table(conjugacy_classes(group), path)
+    lines = path.read_text().splitlines()
+    rows = [ln.split(" ", 2) for ln in lines[5:]]
+    edit(rows, group)
+    path.write_text("\n".join(lines[:5] + [" ".join(r) for r in rows]) + "\n")
+    return group, path
+
+
+def test_class_table_load_detects_swapped_sizes(tmp_path):
+    def swap(rows, group):
+        # sym(4): the two order-2 classes have sizes 3 and 6; the sum stays 24
+        assert [(r[0], r[1]) for r in rows[1:3]] == [("3", "2"), ("6", "2")]
+        rows[1][0], rows[2][0] = rows[2][0], rows[1][0]
+
+    group, path = _tampered_cache(tmp_path, "sym(4)", swap)
+    with pytest.raises(ConsistencyError):
+        load_class_table(group, path)
+
+
+def test_class_table_load_detects_non_least_representative(tmp_path):
+    def replace_rep(rows, group):
+        rep = as_perm([int(x) for x in rows[-1][2].split(",")], group.degree)
+        rng = random.Random(3)
+        other = rep
+        while (other == rep).all():
+            g = group.random_element(rng)
+            other = conjugate(g, rep, inverse(g))
+        rows[-1][2] = ",".join(map(str, other.tolist()))
+
+    group, path = _tampered_cache(tmp_path, "alt(5)", replace_rep)
     with pytest.raises(ConsistencyError):
         load_class_table(group, path)
