@@ -4,8 +4,10 @@ Groups are given by generator permutations on {0..degree-1}.  Permutations are
 numpy arrays (uint8 for degree <= 255, else uint16); composition is fancy
 indexing, (p o q)(i) = p[q(i)], so q is applied first.
 
-Provides exact order via a deterministic stabilizer chain, a rank index on
-the chain that numbers the elements 0..|G|-1, conjugacy classes labelled over
+Provides exact order via a deterministic stabilizer chain (Schreier-Sims with
+the Schreier generators of each level sifted as batches of rows; each level
+is stored once, as arrays that the rank index reads too), a rank index on the
+chain that numbers the elements 0..|G|-1, conjugacy classes labelled over
 those ranks by array operations (a class table is one class id per rank),
 p-part decomposition, class counts, power maps on classes, the Galois
 fixed-class count, and quotient groups by coset action.
@@ -22,6 +24,7 @@ from .numtheory import p_part
 DEFAULT_CLASS_CAP = 3_000_000
 EXTENDED_CLASS_CAP = 20_000_000
 CHUNK = 1 << 14  # elements per batch in rank-index sweeps
+BATCH = 1 << 16  # entries (rows x degree) per batch of chain-build rows
 
 
 class ResourceLimitError(RuntimeError):
@@ -130,16 +133,37 @@ def perm_key(p: np.ndarray) -> bytes:
 # stabilizer chain (deterministic Schreier-Sims)
 # ---------------------------------------------------------------------------
 
+def _gather_rows(table: np.ndarray, rows, perms: np.ndarray) -> np.ndarray:
+    """table[rows[k]][perms[k]] for each k, as one flat gather (int32 offsets
+    row * width + image while they fit)."""
+    dtype = np.int32 if table.size < 1 << 31 else np.int64
+    offsets = np.asarray(rows, dtype=dtype) * table.shape[1]
+    return table.ravel()[offsets[:, None] + perms]
+
+
 class StabilizerChain:
-    """Base, strong generators and transversals; base points are always the
-    smallest moved points available, so the chain is deterministic."""
+    """Base, strong generators and transversals (the deterministic
+    Schreier-Sims algorithm of Seress, Permutation Group Algorithms, ch. 4).
+
+    Base points are always the smallest moved points available, so the chain
+    is deterministic.  Level i is stored once, as arrays (position, forward,
+    inverse): position maps a point to its place in the sorted orbit of
+    base[i] (-1 outside the orbit), forward holds the transversal rows t_x in
+    that order and inverse their inverses.  The rank index reads the same
+    arrays.  Closing a level sifts all its Schreier generators
+    t_{s(x)}^-1 o s o t_x in batches of rows through the deeper levels, then
+    registers the non-identity residues one by one in (sorted x, generator)
+    order, which gives the same chain as sifting them one at a time: the
+    deeper transversals do not change while a level is closed."""
 
     def __init__(self, generators, degree: int):
         self.degree = degree
         self.base: list[int] = []
         self.level_gens: list[list[np.ndarray]] = []
         self._gen_keys: set[bytes] = set()
-        self.transversals: list[dict[int, np.ndarray]] = []
+        self.levels: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        # number of strong generators each level's arrays were built from
+        self._built_from: list[int] = []
         for g in generators:
             if not is_identity(g):
                 self._register(g, 0)
@@ -152,13 +176,18 @@ class StabilizerChain:
             for level in range(len(self.base)):
                 changed |= self._close_level(level)
 
+    @property
+    def transversals(self) -> list[dict[int, np.ndarray]]:
+        """Each level as {orbit point: transversal row}."""
+        return [dict(zip(np.flatnonzero(position >= 0).tolist(), forward))
+                for position, forward, _ in self.levels]
+
     def strip(self, g: np.ndarray):
-        for i, b in enumerate(self.base):
-            x = int(g[b])
-            t = self.transversals[i].get(x)
-            if t is None:
+        for i, (b, (position, _, inv)) in enumerate(zip(self.base, self.levels)):
+            pos = position[g[b]]
+            if pos < 0:
                 return g, i
-            g = compose(inverse(t), g)
+            g = inv[pos][g]
         return g, len(self.base)
 
     def _fixed_level(self, g: np.ndarray) -> int:
@@ -183,7 +212,8 @@ class StabilizerChain:
             b = int(moved[0])
             self.base.append(b)
             self.level_gens.append([])
-            self.transversals.append({b: identity_perm(self.degree)})
+            self.levels.append(self._transversal(b, []))
+            self._built_from.append(0)
         self.level_gens[at].append(g)
         return True
 
@@ -192,38 +222,87 @@ class StabilizerChain:
         return [g for lvl in range(level, len(self.base))
                 for g in self.level_gens[lvl]]
 
-    def _close_level(self, level: int) -> bool:
-        """Recompute the orbit at `level` and sift all Schreier generators.
-        Returns True if anything changed."""
-        b = self.base[level]
-        gens = self._gens_from(level)
-        transversal = {b: identity_perm(self.degree)}
+    def _transversal(self, b: int, gens):
+        """Level arrays for the orbit of b under gens.  The breadth-first
+        search visits frontier points in order and, for each, the generators
+        in order; the first hit of y from x by s gives t_y = s o t_x."""
+        images = [s.tolist() for s in gens]
+        seen = {b}
         frontier = [b]
+        tree = []  # per depth: (new points, their parents, generator indices)
         while frontier:
-            new_frontier = []
+            points, parents, via = [], [], []
             for x in frontier:
-                tx = transversal[x]
-                for s in gens:
-                    y = int(s[x])
-                    if y not in transversal:
-                        transversal[y] = compose(s, tx)
-                        new_frontier.append(y)
-            frontier = new_frontier
-        changed = len(transversal) != len(self.transversals[level])
-        self.transversals[level] = transversal
-        # Schreier generators: t_{s(x)}^-1 s t_x, all of which fix base[:level+1]
-        for x in sorted(transversal):
-            tx = transversal[x]
-            for s in gens:
-                sg = compose(inverse(transversal[int(s[x])]), compose(s, tx))
-                residue, _ = self.strip(sg)
-                if not is_identity(residue):
-                    changed |= self._register(residue, level + 1)
+                for j, image in enumerate(images):
+                    y = image[x]
+                    if y not in seen:
+                        seen.add(y)
+                        points.append(y)
+                        parents.append(x)
+                        via.append(j)
+            tree.append((points, parents, via))
+            frontier = points
+        orbit = sorted(seen)
+        position = np.full(self.degree, -1, dtype=np.int32)
+        position[orbit] = np.arange(len(orbit))
+        forward = np.empty((len(orbit), self.degree), dtype=perm_dtype(self.degree))
+        forward[position[b]] = identity_perm(self.degree)
+        step = max(1, BATCH // self.degree)
+        stacked = np.stack(gens) if gens else None
+        for points, parents, via in tree:
+            for lo in range(0, len(points), step):
+                hi = lo + step
+                forward[position[points[lo:hi]]] = _gather_rows(
+                    stacked, via[lo:hi], forward[position[parents[lo:hi]]])
+        inv = np.empty_like(forward)
+        for lo in range(0, len(orbit), step):
+            inv[lo:lo + step] = inverse_rows(forward[lo:lo + step])
+        return position, forward, inv
+
+    def _sift_rows(self, rows: np.ndarray, start: int, stop: int) -> None:
+        """Strip each row in place through levels start..stop-1; a row stays
+        as it is from the first level where its base image leaves the orbit."""
+        active = np.arange(len(rows))
+        for b, (position, _, inv) in zip(self.base[start:stop],
+                                         self.levels[start:stop]):
+            pos = position[rows[active, b]]
+            inside = pos >= 0
+            active = active[inside]
+            rows[active] = _gather_rows(inv, pos[inside], rows[active])
+
+    def _close_level(self, level: int) -> bool:
+        """Rebuild the orbit at `level` if its generators grew, and sift all
+        Schreier generators.  Returns True if anything changed."""
+        gens = self._gens_from(level)
+        changed = False
+        if len(gens) != self._built_from[level]:
+            size = len(self.levels[level][1])
+            self.levels[level] = None  # free the old arrays first
+            self.levels[level] = self._transversal(self.base[level], gens)
+            self._built_from[level] = len(gens)
+            changed = len(self.levels[level][1]) != size
+        position, forward, inv = self.levels[level]
+        # Schreier generators t_{s(x)}^-1 s t_x, all of which fix
+        # base[:level+1], for x in sorted order and s in generator order;
+        # levels appended while registering are trivial and strip nothing
+        orbit = np.flatnonzero(position >= 0)
+        stacked = np.stack(gens)
+        depth = len(self.levels)
+        identity = identity_perm(self.degree)
+        step = max(1, BATCH // self.degree)
+        pairs = len(orbit) * len(gens)
+        for lo in range(0, pairs, step):
+            x, s = np.divmod(np.arange(lo, min(lo + step, pairs)), len(gens))
+            residues = _gather_rows(inv, position[stacked[s, orbit[x]]],
+                                    _gather_rows(stacked, s, forward[x]))
+            self._sift_rows(residues, level + 1, depth)
+            for k in np.flatnonzero((residues != identity).any(axis=1)).tolist():
+                changed |= self._register(residues[k].copy(), level + 1)
         return changed
 
     @property
     def order(self) -> int:
-        return reduce(lambda a, t: a * len(t), self.transversals, 1)
+        return reduce(lambda a, level: a * len(level[1]), self.levels, 1)
 
     def contains(self, g: np.ndarray) -> bool:
         if len(g) != self.degree:
@@ -237,7 +316,7 @@ class StabilizerChain:
 
     def random_element(self, rng) -> np.ndarray:
         g = identity_perm(self.degree)
-        for _, forward, _, _ in self.index.levels:
+        for _, forward, _ in self.levels:
             g = g[forward[rng.randrange(len(forward))]]
         return g
 
@@ -252,25 +331,19 @@ class RankIndex:
     Every element is g = t_0 o t_1 o ... o t_{L-1}, t_i at position p_i in
     the sorted orbit of level i, and rank(g) = sum p_i * radix_i (level 0
     least significant).  t_1.. fix base[0], so g(base[0]) gives p_0; strip
-    t_0 and repeat: the base images determine the rank.  Each level holds
-    (point -> orbit position or -1, transversal rows, inverse rows, radix)."""
+    t_0 and repeat: the base images determine the rank.  Each level holds the
+    chain's own (position, forward, inverse) arrays and a radix."""
 
     def __init__(self, chain: "StabilizerChain"):
         check_class_cap(chain.order, (1 << 31) - 1)
         self.degree = chain.degree
         self.order = chain.order
         self.base = np.array(chain.base, dtype=np.intp)
-        # gather indices (row * degree + point) fit int32 below degree 46341
-        self.gather_dtype = np.int32 if self.degree < 46341 else np.int64
         self.levels = []
         radix = 1
-        for tr in chain.transversals:
-            orbit = sorted(tr)
-            position = np.full(self.degree, -1, dtype=np.int32)
-            position[orbit] = np.arange(len(orbit))
-            forward = np.stack([tr[x] for x in orbit])
-            self.levels.append((position, forward, inverse_rows(forward), radix))
-            radix *= len(orbit)
+        for position, forward, inv in chain.levels:
+            self.levels.append((position, forward, inv, radix))
+            radix *= len(forward)
 
     def images(self, ranks, points) -> np.ndarray:
         """len(ranks) x len(points): the image of each point under the
@@ -281,8 +354,7 @@ class RankIndex:
         out = np.broadcast_to(np.asarray(points, dtype=perm_dtype(self.degree)),
                               (len(ranks), len(points)))
         for _, forward, _, radix in reversed(self.levels):
-            offset = ranks // radix % len(forward) * self.degree
-            out = forward.ravel()[offset.astype(self.gather_dtype)[:, None] + out]
+            out = _gather_rows(forward, ranks // radix % len(forward), out)
         return np.array(out)
 
     def unrank(self, ranks) -> np.ndarray:
@@ -296,12 +368,11 @@ class RankIndex:
         ranks = np.zeros(len(images), dtype=np.int64)
         outside = np.zeros(len(images), dtype=bool)
         for i, (position, _, inv, radix) in enumerate(self.levels):
-            pos = position[images[:, i]].astype(self.gather_dtype)
+            pos = position[images[:, i]]
             outside |= pos < 0
             pos[pos < 0] = 0
             ranks += pos * radix
-            offset = pos * self.degree
-            images[:, i + 1:] = inv.ravel()[offset[:, None] + images[:, i + 1:]]
+            images[:, i + 1:] = _gather_rows(inv, pos, images[:, i + 1:])
         ranks[outside] = -1
         return ranks.astype(np.int32)
 
@@ -652,11 +723,13 @@ def quotient_group(group: PermGroup, normal_gens, name: str | None = None,
     if index > index_cap:
         raise ResourceLimitError(f"index {index} exceeds coset cap {index_cap}")
 
-    # orbit fingerprint of a coset gN: the image of each N-orbit under g
-    n_orbits = n_group.orbits_on_points()
+    # fingerprint of a coset gN: the N-orbit label of g^-1(y) for each point
+    # y, invariant on gN since N preserves its orbits; it determines the
+    # image g(O) of each N-orbit O
+    labels = orbit_labels(n_group.generators, group.degree)
 
     def fingerprint(g):
-        return tuple(frozenset(int(g[x]) for x in orb) for orb in n_orbits)
+        return labels[inverse(g)].tobytes()
 
     reps = [group.identity()]
     rep_invs = [group.identity()]

@@ -12,9 +12,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from regclass.catalog import default_catalog, entry_by_key
+from regclass.harness import quotient_pairs
 from regclass.numtheory import factorize, p_part
 from regclass.permgroup import (ConsistencyError, PermGroup,
-                                ResourceLimitError, as_perm,
+                                ResourceLimitError, StabilizerChain, as_perm,
                                 burnside_class_count, class_counts,
                                 compose, conjugacy_classes, conjugate,
                                 galois_fixed_class_count, identity_perm,
@@ -135,17 +136,150 @@ def test_contains():
     assert not group.contains(as_perm([1, 0, 2, 3, 4], 5))  # odd permutation
 
 
+@lru_cache(maxsize=None)
+def _group(key):
+    return entry_by_key(key).build()[0]
+
+
+# ---------------------------------------------------------------------------
+# stabilizer chain against the one-permutation-at-a-time reference
+# ---------------------------------------------------------------------------
+
+class _ReferenceChain:
+    """Deterministic Schreier-Sims one permutation at a time: dict
+    transversals grown breadth-first, every Schreier generator stripped on its
+    own, all levels closed again until nothing changes."""
+
+    def __init__(self, generators, degree):
+        self.degree = degree
+        self.base, self.level_gens, self.transversals = [], [], []
+        self.keys = set()
+        for g in generators:
+            if not is_identity(g):
+                self.register(g, 0)
+        changed = True
+        while changed:
+            changed = False
+            for level in range(len(self.base)):
+                changed |= self.close(level)
+
+    def strip(self, g):
+        for b, tr in zip(self.base, self.transversals):
+            t = tr.get(int(g[b]))
+            if t is None:
+                break
+            g = compose(inverse(t), g)
+        return g
+
+    def register(self, g, level):
+        if g.tobytes() in self.keys:
+            return False
+        self.keys.add(g.tobytes())
+        at = next((i for i, b in enumerate(self.base) if g[b] != b),
+                  len(self.base))
+        assert at >= level
+        if at == len(self.base):
+            b = int(np.nonzero(g != np.arange(self.degree))[0][0])
+            self.base.append(b)
+            self.level_gens.append([])
+            self.transversals.append({b: identity_perm(self.degree)})
+        self.level_gens[at].append(g)
+        return True
+
+    def close(self, level):
+        gens = [g for lg in self.level_gens[level:] for g in lg]
+        tr = {self.base[level]: identity_perm(self.degree)}
+        frontier = [self.base[level]]
+        while frontier:
+            new = []
+            for x in frontier:
+                for s in gens:
+                    y = int(s[x])
+                    if y not in tr:
+                        tr[y] = compose(s, tr[x])
+                        new.append(y)
+            frontier = new
+        changed = len(tr) != len(self.transversals[level])
+        self.transversals[level] = tr
+        for x in sorted(tr):
+            for s in gens:
+                residue = self.strip(
+                    compose(inverse(tr[int(s[x])]), compose(s, tr[x])))
+                if not is_identity(residue):
+                    changed |= self.register(residue, level + 1)
+        return changed
+
+    def rank_levels(self):
+        """(position, forward, inverse, radix) per level, as the rank index
+        holds them."""
+        levels, radix = [], 1
+        for tr in self.transversals:
+            orbit = sorted(tr)
+            position = np.full(self.degree, -1, dtype=np.int32)
+            position[orbit] = np.arange(len(orbit))
+            levels.append((position, np.stack([tr[x] for x in orbit]),
+                           np.stack([inverse(tr[x]) for x in orbit]), radix))
+            radix *= len(orbit)
+        return levels
+
+
+def _assert_same_chain(chain, ref):
+    assert chain.base == ref.base
+    assert [[g.tolist() for g in lg] for lg in chain.level_gens] == \
+        [[g.tolist() for g in lg] for lg in ref.level_gens]
+    assert [{x: t.tolist() for x, t in tr.items()} for tr in chain.transversals] \
+        == [{x: t.tolist() for x, t in tr.items()} for tr in ref.transversals]
+    got, want = chain.index.levels, ref.rank_levels()
+    assert len(got) == len(want)
+    for level, expected in zip(got, want):
+        assert level[3] == expected[3]
+        for a, b in zip(level[:3], expected[:3]):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("key", [e.key for e in default_catalog()])
+def test_chain_matches_reference_schreier_sims(key):
+    group = _group(key)
+    _assert_same_chain(StabilizerChain(group.generators, group.degree),
+                       _ReferenceChain(group.generators, group.degree))
+
+
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.permutations(range(n)), min_size=1, max_size=4))))
+def test_chain_matches_reference_on_random_generators(case):
+    degree, images = case
+    gens = [as_perm(list(g), degree) for g in images]
+    _assert_same_chain(StabilizerChain(gens, degree),
+                       _ReferenceChain(gens, degree))
+
+
+def test_random_element_beyond_rank_index_cap():
+    # C2 x C3 x ... x C29 on disjoint cycles: order 6,469,693,230 > 2^31 - 1,
+    # so the rank index refuses the group, but drawing enumerates nothing
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    starts = np.cumsum([0] + primes).tolist()
+    degree = starts[-1]
+    group = PermGroup(degree, [perm_from_cycles([list(range(a, a + p))], degree)
+                               for a, p in zip(starts, primes)])
+    assert group.order == 6_469_693_230
+    with pytest.raises(ResourceLimitError):
+        group.chain.index
+    drawn = [group.random_element(random.Random(5)) for _ in range(2)]
+    # one draw per level, from the sorted-orbit transversal rows
+    rng = random.Random(5)
+    expected = identity_perm(degree)
+    for tr in group.chain.transversals:
+        expected = expected[tr[sorted(tr)[rng.randrange(len(tr))]]]
+    assert all((g == expected).all() for g in drawn)
+    assert group.contains(drawn[0])
+
+
 # ---------------------------------------------------------------------------
 # rank index
 # ---------------------------------------------------------------------------
 
 RANK_KEYS = ["cyclic(12)", "dihedral(7)", "frobenius(11,5)", "sym(5)",
              "alt(6)", "psl2(7)", "sl2(5)", "sp4(2)", "psl2(27)", "sp4(3)"]
-
-
-@lru_cache(maxsize=None)
-def _group(key):
-    return entry_by_key(key).build()[0]
 
 
 @lru_cache(maxsize=None)
@@ -403,6 +537,42 @@ def test_quotient_sym4_by_v4():
     quo = quotient_group(group, v4)
     assert quo.order == 6
     assert len(conjugacy_classes(quo)) == 3  # S3
+
+
+def _reference_quotient_images(group, normal_gens):
+    """Coset action of the generators, cosets told apart by the images of the
+    N-orbits as sets and then by membership."""
+    n_group = PermGroup(group.degree, normal_gens)
+    n_orbits = n_group.orbits_on_points()
+
+    def fingerprint(g):
+        return tuple(frozenset(int(g[x]) for x in orb) for orb in n_orbits)
+
+    reps, buckets = [group.identity()], {fingerprint(group.identity()): [0]}
+
+    def coset_id(x):
+        for i in buckets.get(fingerprint(x), ()):
+            if n_group.contains(compose(inverse(reps[i]), x)):
+                return i
+        reps.append(x)
+        buckets.setdefault(fingerprint(x), []).append(len(reps) - 1)
+        return len(reps) - 1
+
+    actions = [[] for _ in group.generators]
+    i = 0
+    while i < len(reps):
+        for gi, g in enumerate(group.generators):
+            actions[gi].append(coset_id(compose(g, reps[i])))
+        i += 1
+    return PermGroup(len(reps), actions).generators
+
+
+@pytest.mark.parametrize("name, group, normal_gens", quotient_pairs(),
+                         ids=[name for name, _, _ in quotient_pairs()])
+def test_quotient_matches_orbit_set_fingerprint(name, group, normal_gens):
+    quotient = quotient_group(group, normal_gens)
+    assert [g.tolist() for g in quotient.generators] == \
+        [g.tolist() for g in _reference_quotient_images(group, normal_gens)]
 
 
 def test_quotient_rejects_non_normal():
