@@ -3,26 +3,42 @@
 Class-multiplication matrices are simultaneously diagonalized over GF(P) for
 a deterministic prime P = 1 (mod exponent), P > 2*sqrt(|G|); eigenvector rows
 are lifted to exact cyclotomic integers (multiplicity vectors over e-th roots
-of unity) by the discrete Fourier lift over power maps.  Row and column
-orthogonality are verified exactly before a table is returned: inner products
-are evaluated at every primitive e-th root of unity modulo independent
-auxiliary primes whose product exceeds a rigorous coefficient bound, which
-pins the cyclotomic-integer values down exactly.
+of unity) by the discrete Fourier lift over power maps.
+
+The power maps come from one power table: the powers rep^0..rep^(o-1) of
+every class representative, stacked and classified by one batched class
+lookup.  For a class of order o, the K x o slice of mod-P values along its
+power map times the o x o matrix of roots z^(-(e/o)*s*u) is the matrix of
+eigenvalue multiplicities of all characters on that class; one matrix
+product mod P per class replaces a scalar loop over (character, s, u).
+
+Row and column orthogonality are verified exactly before a table is returned
+(and again when a cached table is loaded): inner products are evaluated at
+every primitive e-th root of unity modulo independent auxiliary primes whose
+product exceeds a rigorous coefficient bound, which pins the
+cyclotomic-integer values down exactly.  Each distinct value of the table is
+evaluated once per auxiliary prime and gathered into the value matrices.
 
 Galois-theoretic classification (rational, p-rational, p'-rational,
-Q_p-valued characters) acts on multiplicity vectors by index multiplication.
+Q_p-valued characters) reads one boolean table fixed[value, unit] over the
+distinct values of the table.  sigma_k sends the entry (s, m_s) of a value v
+to (s*k mod e, m_s); k is a unit, so this maps the support injectively onto
+a set of the same size, and v is fixed iff v[s*k mod e] = m_s for every
+entry of v.  The table is filled by exact index arithmetic on the flattened
+supports, and the Brauer cross-check compares its column sums with the
+classes fixed by g -> g^k, read from the power table.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
-from math import gcd, isqrt
+from functools import cached_property, lru_cache
+from math import gcd
 
 import numpy as np
 
 from .numtheory import divisors, factorize, is_prime, p_part
 from .permgroup import (CHUNK, ClassTable, ConsistencyError, PermGroup,
                         ResourceLimitError, _primitive_root, class_counts,
-                        inverse, inverse_rows, perm_power, power_class_map)
+                        identity_perm, inverse_rows)
 
 MAX_CLASSES = 80
 MAX_ORDER = 3_000_000
@@ -63,23 +79,80 @@ class CycValue:
     def total_mass(self) -> int:
         return sum(self.mults)
 
-    def eval_mod(self, root_powers: np.ndarray, q: int) -> int:
-        """Evaluate at the root whose power table (length e) is given."""
-        acc = 0
-        for s, m in zip(self.support, self.mults):
-            acc = (acc + m * int(root_powers[s])) % q
-        return acc
+    def dense_key(self) -> tuple:
+        """Sort key ordering values as their dense length-e multiplicity
+        vectors, lexicographically: where two supports first differ, the
+        value holding the smaller index s has the larger dense vector, and
+        (-s, m_s) sorts it last."""
+        return tuple((-s, m) for s, m in zip(self.support, self.mults))
 
 
-def _lex_dense_key_cmp(a: CycValue, b: CycValue) -> int:
-    """Compare as dense length-e vectors, lexicographically."""
-    ia = dict(zip(a.support, a.mults))
-    ib = dict(zip(b.support, b.mults))
-    for s in sorted(set(ia) | set(ib)):
-        va, vb = ia.get(s, 0), ib.get(s, 0)
-        if va != vb:
-            return 1 if va > vb else -1
-    return 0
+def _units(e: int) -> np.ndarray:
+    """The residues mod e coprime to e, ascending (just 0 when e = 1)."""
+    return np.array([k for k in range(e) if gcd(k, e) == 1], dtype=np.int64)
+
+
+def _intern(values) -> tuple[list[CycValue], np.ndarray]:
+    """The distinct values of a table, and the matrix of their indices."""
+    ids: dict[CycValue, int] = {}
+    value_id = np.array([[ids.setdefault(v, len(ids)) for v in row]
+                         for row in values], dtype=np.int64)
+    return list(ids), value_id
+
+
+def _support_entries(values):
+    """All support entries of the values as arrays (value index, s, m_s),
+    ordered by value, then s; entries bounds[v]:bounds[v+1] are those of
+    values[v]."""
+    lengths = [len(v.support) for v in values]
+    bounds = np.zeros(len(values) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=bounds[1:])
+    vid = np.repeat(np.arange(len(values), dtype=np.int64), lengths)
+    s = np.array([s for v in values for s in v.support], dtype=np.int64)
+    m = np.array([m for v in values for m in v.mults], dtype=np.int64)
+    return vid, s, m, bounds
+
+
+def _segment_sums(x: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Sums of the row blocks x[bounds[v]:bounds[v+1]] (empty blocks give 0)."""
+    acc = np.zeros((len(x) + 1,) + x.shape[1:], dtype=np.int64)
+    np.cumsum(x, axis=0, out=acc[1:])
+    return acc[bounds[1:]] - acc[bounds[:-1]]
+
+
+def galois_fixed_table(values, e: int) -> tuple[np.ndarray, np.ndarray]:
+    """The units k mod e (see `_units`) and fixed[v, u]: sigma_{units[u]}
+    fixes values[v].
+
+    sigma_k maps the entry (s, m_s) to (s*k mod e, m_s); k permutes Z/e, so
+    the support goes injectively onto a set of the same size, and v is fixed
+    iff v[s*k mod e] = m_s for every entry of v."""
+    units = _units(e)
+    vid, s, m, bounds = _support_entries(values)
+    # entry keys v*e + s ascend; the sentinel matches no image
+    keys = np.append(vid * e + s, np.iinfo(np.int64).max)
+    mults = np.append(m, 0)
+    fixed = np.empty((len(values), len(units)), dtype=bool)
+    step = max(1, CHUNK // max(len(s), 1))
+    for lo in range(0, len(units), step):
+        k = units[lo:lo + step]
+        image = vid[:, None] * e + s[:, None] * k[None, :] % e
+        at = np.searchsorted(keys, image)
+        miss = (keys[at] != image) | (mults[at] != m[:, None])
+        fixed[:, lo:lo + step] = _segment_sums(miss, bounds) == 0
+    return units, fixed
+
+
+def _evaluations(values, e: int, q: int, ks: np.ndarray) -> np.ndarray:
+    """[v, i]: values[v] at zeta -> z^ks[i] mod q, z as in `_root_powers`."""
+    z = _root_powers(q, e)
+    vid, s, m, bounds = _support_entries(values)
+    out = np.empty((len(values), len(ks)), dtype=np.int64)
+    step = max(1, CHUNK // max(len(s), 1))
+    for lo in range(0, len(ks), step):
+        terms = z[s[:, None] * ks[None, lo:lo + step] % e] * m[:, None] % q
+        out[:, lo:lo + step] = _segment_sums(terms, bounds) % q
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -340,16 +413,91 @@ class CharacterTable:
     exponent: int
     modular_prime: int
     mod_values: np.ndarray  # [character][class] mod P
+    power: list[np.ndarray]  # power[j][u] = class of rep_j^u, u < order
 
     def __len__(self):
         return len(self.degrees)
 
+    @cached_property
+    def _interned(self) -> tuple[list[CycValue], np.ndarray]:
+        return _intern(self.values)
+
+    @cached_property
+    def _galois(self) -> tuple[np.ndarray, np.ndarray]:
+        """The units k mod e and rows_fixed[character, unit]: sigma_k fixes
+        every value of the character."""
+        distinct, value_id = self._interned
+        units, fixed = galois_fixed_table(distinct, self.exponent)
+        return units, np.stack([fixed[ids].all(axis=0) for ids in value_id])
+
+    def fixed_by(self, ks) -> np.ndarray:
+        """Per character: fixed by sigma_k for every k in ks (units mod e)."""
+        units, rows_fixed = self._galois
+        ks = np.asarray(ks, dtype=np.int64) % self.exponent
+        if not np.isin(ks, units).all():
+            raise ValueError(f"not all of {ks.tolist()} are units mod {self.exponent}")
+        return rows_fixed[:, np.searchsorted(units, ks)].all(axis=1)
+
     def galois_fixed(self, char_index: int, k: int) -> bool:
-        row = self.values[char_index]
-        return all(v.galois(k) == v for v in row)
+        return bool(self.fixed_by([k])[char_index])
 
     def fixed_count(self, k: int) -> int:
-        return sum(1 for i in range(len(self)) if self.galois_fixed(i, k))
+        return int(self.fixed_by([k]).sum())
+
+
+def _power_table(table: ClassTable) -> list[np.ndarray]:
+    """power[j][u] = class of rep_j^u for u below the order of class j, from
+    one batched lookup of all the stacked powers."""
+    rows = []
+    for c in table.classes:
+        g = identity_perm(table.group.degree)
+        for _ in range(c.order):
+            rows.append(g)
+            g = c.rep[g]
+    power = np.split(table.classes_of(np.stack(rows)),
+                     np.cumsum(table.orders)[:-1])
+    if any(pw[0] != 0 or pw[1 % len(pw)] != j for j, pw in enumerate(power)):
+        raise ConsistencyError("power table disagrees with the class list")
+    return power
+
+
+def _matmul_mod(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
+    """A @ B mod p for entries in [0, p), in int64 without overflow."""
+    step = ((1 << 63) - p) // max((p - 1) ** 2, 1)
+    if step < 1:
+        raise ResourceLimitError(f"modulus {p} too large for int64 products")
+    out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
+    for lo in range(0, A.shape[1], step):
+        out = (out + A[:, lo:lo + step] @ B[lo:lo + step]) % p
+    return out
+
+
+def _lift(mod_values: np.ndarray, degrees, power, e: int, P: int):
+    """Exact values from mod-P character values, one discrete Fourier
+    transform per class: on a class of order o (step = e/o), the
+    multiplicity of zeta^(step*s) in chi(g) is (1/o) sum_u chi(g^u)
+    z^(-step*s*u) mod P, for all characters at once."""
+    z_pows = _root_powers(P, e)
+    degs = np.array(degrees, dtype=np.int64)
+    values: list[list[CycValue]] = [[] for _ in degrees]
+    for j, pw in enumerate(power):
+        o = len(pw)
+        step = e // o
+        s = np.arange(o)
+        roots = z_pows[-step * np.outer(s, s) % e]
+        mults = _matmul_mod(mod_values[:, pw], roots, P) * pow(o, -1, P) % P
+        if (mults > degs[:, None]).any():
+            raise ConsistencyError("lifted multiplicity out of range")
+        if (mults.sum(axis=1) != degs).any():
+            raise ConsistencyError("eigenvalue multiplicities do not sum to the degree")
+        if (_matmul_mod(mults, z_pows[step * s][:, None], P)[:, 0]
+                != mod_values[:, j]).any():
+            raise ConsistencyError("lift does not reproduce the modular value")
+        for row, m in zip(values, mults):
+            nz = np.flatnonzero(m)
+            row.append(CycValue(e, tuple((step * nz).tolist()),
+                                tuple(m[nz].tolist())))
+    return values
 
 
 def character_table(group: PermGroup, table: ClassTable) -> CharacterTable:
@@ -389,8 +537,10 @@ def character_table(group: PermGroup, table: ClassTable) -> CharacterTable:
         raise ConsistencyError("class matrices failed to separate characters")
 
     # --- normalize, recover degrees and mod-P character values -------------
-    inv_class = table.classes_of([inverse(c.rep) for c in table.classes]).tolist()
+    power = _power_table(table)
+    inv_class = [int(pw[-1]) for pw in power]
     sizes = np.array([c.size for c in table.classes], dtype=np.int64)
+    size_inv = np.array([pow(int(s), -1, P) for s in sizes], dtype=np.int64)
     group_divisors = divisors(n)
     rows_mod = []
     degrees = []
@@ -399,18 +549,13 @@ def character_table(group: PermGroup, table: ClassTable) -> CharacterTable:
         if w[0] % P == 0:
             raise ConsistencyError("eigenvector vanishes on the identity class")
         w = w * pow(int(w[0]), -1, P) % P
-        s = 0
-        for j in range(K):
-            s = (s + int(w[j]) * int(w[inv_class[j]])
-                 * pow(int(sizes[j]), -1, P)) % P
+        s = int(np.sum(w * w[inv_class] % P * size_inv % P) % P)
         d_sq = n * pow(s, -1, P) % P
         d = next((x for x in group_divisors
                   if x * x <= n and x * x % P == d_sq), None)
         if d is None:
             raise ConsistencyError("no degree matches the eigenvector")
-        chi = np.array([d * int(w[j]) * pow(int(sizes[j]), -1, P) % P
-                        for j in range(K)], dtype=np.int64)
-        rows_mod.append(chi)
+        rows_mod.append(d * w % P * size_inv % P)
         degrees.append(d)
     if sum(d * d for d in degrees) != n:
         raise ConsistencyError("degree squares do not sum to the group order")
@@ -418,57 +563,17 @@ def character_table(group: PermGroup, table: ClassTable) -> CharacterTable:
     mod_values = np.stack(rows_mod)
     _check_mod_orthogonality(mod_values, sizes, inv_class, n, P)
 
-    # --- exact lift: discrete Fourier transform over power maps ------------
-    z_pows = _root_powers(P, e)
-    power_class = [table.classes_of([perm_power(c.rep, u) for u in range(c.order)])
-                   .tolist() for c in table.classes]
-
-    values: list[list[CycValue]] = []
-    for r in range(K):
-        row = []
-        for j in range(K):
-            o = table.classes[j].order
-            step = e // o
-            f = [int(mod_values[r][power_class[j][u]]) for u in range(o)]
-            o_inv = pow(o, -1, P)
-            support = []
-            mults = []
-            for sig in range(o):
-                m_val = 0
-                for u in range(o):
-                    m_val = (m_val + f[u] * int(z_pows[(e - step * sig) * u % e])) % P
-                m_val = m_val * o_inv % P
-                if m_val:
-                    if m_val > degrees[r]:
-                        raise ConsistencyError("lifted multiplicity out of range")
-                    support.append(step * sig)
-                    mults.append(m_val)
-            v = CycValue(e, tuple(support), tuple(mults))
-            if v.total_mass() != degrees[r]:
-                raise ConsistencyError("eigenvalue multiplicities do not sum to the degree")
-            if v.eval_mod(z_pows, P) != int(mod_values[r][j]):
-                raise ConsistencyError("lift does not reproduce the modular value")
-            row.append(v)
-        values.append(row)
-
-    # --- canonical ordering by (degree, lexicographic value vector) --------
-    def row_cmp(a: int, b: int) -> int:
-        if degrees[a] != degrees[b]:
-            return 1 if degrees[a] > degrees[b] else -1
-        for j in range(K):
-            c = _lex_dense_key_cmp(values[a][j], values[b][j])
-            if c:
-                return c
-        return 0
-
-    import functools
-    order = sorted(range(K), key=functools.cmp_to_key(row_cmp))
+    # --- exact lift, canonical ordering by (degree, lexicographic values) --
+    values = _lift(mod_values, degrees, power, e, P)
+    order = sorted(range(K), key=lambda r: (
+        degrees[r], tuple(v.dense_key() for v in values[r])))
     values = [values[i] for i in order]
     degrees = [degrees[i] for i in order]
     mod_values = mod_values[order]
 
     result = CharacterTable(table=table, degrees=degrees, values=values,
-                            exponent=e, modular_prime=P, mod_values=mod_values)
+                            exponent=e, modular_prime=P, mod_values=mod_values,
+                            power=power)
     _verify_exact_orthogonality(result, sizes, inv_class, n)
     return result
 
@@ -498,30 +603,25 @@ def _verify_exact_orthogonality(ct: CharacterTable, sizes, inv_class, n):
     mass_row = int(np.sum(sizes)) * max_d * max_d
     mass_col = sum(d * d for d in ct.degrees)
     bound = 2 * (max(mass_row, mass_col) + n) * height
-    units = [k for k in range(1, e) if gcd(k, e) == 1] or [1]
+    distinct, value_id = ct._interned
+    units = _units(e)
+    conj = np.searchsorted(units, -units % e)  # column of -k for unit k
+    eye = np.eye(K, dtype=np.int64)
+    step = max(1, CHUNK // (K * K))
     for Q in _aux_primes(e, bound):
-        zq_pows = _root_powers(Q, e)
-        # value matrices at each embedding zeta -> zq^k, vectorized over k
-        karr = np.array(units, dtype=np.int64)
-        stacked = np.zeros((len(units), K, K), dtype=np.int64)
-        for r in range(K):
-            for j in range(K):
-                v = ct.values[r][j]
-                s = np.array(v.support, dtype=np.int64)
-                m = np.array(v.mults, dtype=np.int64)
-                stacked[:, r, j] = zq_pows[karr[:, None] * s[None, :] % e] @ m % Q
-        V = {k: stacked[idx] for idx, k in enumerate(units)}
-        eye = np.eye(K, dtype=np.int64)
+        # each distinct value at every embedding zeta -> zq^k, once; then the
+        # value matrices of a batch of units, [unit][character][class]
+        at = _evaluations(distinct, e, Q, units).T
         size_inv = np.array([pow(int(s), -1, Q) for s in sizes], dtype=np.int64)
-        for k in units:
-            A = V[k]
-            B = V[(-k) % e] if e > 1 else V[k]
-            gram = (A * np.asarray(sizes)[None, :] % Q) @ B.T % Q
-            if not np.array_equal(gram, (n % Q) * eye % Q):
+        expected_row = (n % Q) * eye % Q
+        expected_col = (n % Q) * size_inv % Q * eye % Q
+        for lo in range(0, len(units), step):
+            A = at[lo:lo + step][:, value_id]
+            B = at[conj[lo:lo + step]][:, value_id]
+            gram = (A * sizes % Q) @ B.transpose(0, 2, 1) % Q
+            if not (gram == expected_row).all():
                 raise ConsistencyError("exact row orthogonality failed")
-            colgram = A.T @ B % Q
-            expected = (n % Q) * size_inv % Q * eye % Q
-            if not np.array_equal(colgram % Q, expected):
+            if not (A.transpose(0, 2, 1) @ B % Q == expected_col).all():
                 raise ConsistencyError("exact column orthogonality failed")
 
 
@@ -590,12 +690,9 @@ def classify_rationality(ct: CharacterTable, p: int) -> list[RationalityFlags]:
     gens_pp_rat = _congruence_subgroup_generators(e, e_p)
     gens_qp = _congruence_subgroup_generators(e, gcd(e, p))
     flags = []
-    for i in range(len(ct.degrees)):
-        fixed = lambda gens: all(ct.galois_fixed(i, k) for k in gens)
-        r = fixed(gens_all)
-        rp = fixed(gens_p_rat)
-        rpp = fixed(gens_pp_rat)
-        qp = fixed(gens_qp)
+    columns = zip(*(ct.fixed_by(gens).tolist() for gens in
+                    (gens_all, gens_p_rat, gens_pp_rat, gens_qp)))
+    for r, rp, rpp, qp in columns:
         if r != (rp and rpp):
             raise ConsistencyError("rationality flags are inconsistent")
         flags.append(RationalityFlags(is_rational=r, is_p_rational=rp,
@@ -645,17 +742,17 @@ def brauer_cross_check(table: ClassTable, ct: CharacterTable) -> None:
     the p-rational character count must match the permutation-side count and
     dominate k_{p'}.  Any mismatch is a hard engine failure."""
     from .permgroup import galois_fixed_class_count
-    e = ct.exponent
-    for k in range(1, e + 1 if e == 1 else e):
-        if gcd(k, e) != 1:
-            continue
-        chars_fixed = ct.fixed_count(k)
-        mapping = power_class_map(table, k)
-        classes_fixed = sum(1 for i, j in enumerate(mapping) if i == j)
-        if chars_fixed != classes_fixed:
-            raise ConsistencyError(
-                f"Brauer count mismatch at k={k}: {chars_fixed} characters "
-                f"vs {classes_fixed} classes")
+    units, rows_fixed = ct._galois
+    chars_fixed = rows_fixed.sum(axis=0)
+    # class j is fixed by g -> g^k iff power[j][k mod o_j] == j
+    power = ct.power if table is ct.table else _power_table(table)
+    classes_fixed = sum(pw[units % len(pw)] == j for j, pw in enumerate(power))
+    bad = np.flatnonzero(chars_fixed != classes_fixed)
+    if len(bad):
+        u = bad[0]
+        raise ConsistencyError(
+            f"Brauer count mismatch at k={units[u]}: {chars_fixed[u]} characters "
+            f"vs {classes_fixed[u]} classes")
     n = table.group.order
     for p in factorize(n).primes():
         if p == 2 or table.exponent % p:
@@ -705,8 +802,12 @@ def save_character_table(ct: CharacterTable, path) -> None:
 def load_character_table(table: ClassTable, path) -> CharacterTable:
     """Load and re-verify a cached table against the given class table.
 
-    Degrees, mass sums, the degree-square identity and mod-P row
-    orthogonality are all re-checked; mismatches raise ConsistencyError."""
+    Degrees, mass sums, the degree-square identity, mod-P row orthogonality
+    and the exact row and column orthogonality that a fresh build runs
+    (`_verify_exact_orthogonality`, one evaluation per distinct value and
+    auxiliary prime) are all re-checked, and the multiplicities must be the
+    lift of the values' own mod-P images; mismatches raise
+    ConsistencyError."""
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines or lines[0] != f"{_CACHE_MAGIC} {_CACHE_VERSION}":
@@ -742,7 +843,8 @@ def load_character_table(table: ClassTable, path) -> CharacterTable:
             v = CycValue(e, tuple(s for s, _ in pairs),
                          tuple(m for _, m in pairs))
             if v.total_mass() != d or any(m <= 0 for m in v.mults) \
-                    or any(not 0 <= s < e for s in v.support):
+                    or any(not 0 <= s < e for s in v.support) \
+                    or len(set(v.support)) != len(v.support):
                 raise ConsistencyError("malformed cached value")
             row.append(v)
         if row[0].support != (0,) or row[0].mults != (d,):
@@ -751,14 +853,21 @@ def load_character_table(table: ClassTable, path) -> CharacterTable:
         values.append(row)
     if sum(d * d for d in degrees) != n:
         raise ConsistencyError("cached degree squares do not sum to the order")
-    z_pows = _root_powers(P, e)
-    mod_values = np.array([[v.eval_mod(z_pows, P) for v in row]
-                           for row in values], dtype=np.int64)
+    distinct, value_id = _intern(values)
+    mod_values = _evaluations(distinct, e, P, np.ones(1, dtype=np.int64))[value_id, 0]
     sizes = np.array([c.size for c in table.classes], dtype=np.int64)
-    inv_class = table.classes_of([inverse(c.rep) for c in table.classes]).tolist()
+    power = _power_table(table)
+    inv_class = [int(pw[-1]) for pw in power]
     _check_mod_orthogonality(mod_values, sizes, inv_class, n, P)
-    return CharacterTable(table=table, degrees=degrees, values=values,
-                          exponent=e, modular_prime=P, mod_values=mod_values)
+    ct = CharacterTable(table=table, degrees=degrees, values=values,
+                        exponent=e, modular_prime=P, mod_values=mod_values,
+                        power=power)
+    _verify_exact_orthogonality(ct, sizes, inv_class, n)
+    # equal values may be written with other multiplicities; only the
+    # eigenvalue multiplicities, which the lift recovers, are valid
+    if _lift(mod_values, degrees, power, e, P) != values:
+        raise ConsistencyError("cached multiplicities are not the lift of the values")
+    return ct
 
 
 __all__ = [
@@ -766,5 +875,6 @@ __all__ = [
     "MAX_CLASSES", "MAX_ORDER", "cyclotomic_coeffs", "dixon_prime",
     "class_matrix",
     "character_table", "classify_rationality", "character_count_report",
+    "galois_fixed_table",
     "brauer_cross_check", "save_character_table", "load_character_table",
 ]

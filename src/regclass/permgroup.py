@@ -296,8 +296,11 @@ class StabilizerChain:
             residues = _gather_rows(inv, position[stacked[s, orbit[x]]],
                                     _gather_rows(stacked, s, forward[x]))
             self._sift_rows(residues, level + 1, depth)
+            # _register records every key it is given and drops a repeated
+            # row: test the key first, so only first occurrences are copied
             for k in np.flatnonzero((residues != identity).any(axis=1)).tolist():
-                changed |= self._register(residues[k].copy(), level + 1)
+                if residues[k].tobytes() not in self._gen_keys:
+                    changed |= self._register(residues[k].copy(), level + 1)
         return changed
 
     @property

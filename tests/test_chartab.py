@@ -1,19 +1,27 @@
 """Character tables: degrees, Galois actions, rationality counts, caching."""
 
+import dataclasses
 from math import gcd
 
+import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from regclass.catalog import entry_by_key
-from regclass.chartab import (CycValue, brauer_cross_check,
+from regclass import harness
+from regclass.catalog import default_catalog, entry_by_key
+from regclass.chartab import (CycValue, RationalityFlags,
+                              _congruence_subgroup_generators, _root_powers,
+                              _verify_exact_orthogonality, brauer_cross_check,
                               character_count_report, character_table,
                               classify_rationality, cyclotomic_coeffs,
-                              dixon_prime, load_character_table,
-                              save_character_table)
+                              dixon_prime, galois_fixed_table,
+                              load_character_table, save_character_table)
 from regclass.numtheory import EQUAL, GREATER, factorize, p_part
-from regclass.permgroup import (class_counts, conjugacy_classes,
-                                galois_fixed_class_count)
+from regclass.permgroup import (ConsistencyError, ResourceLimitError,
+                                class_counts, conjugacy_classes,
+                                galois_fixed_class_count, perm_power)
 
 # degree multisets frozen from standard character-table references
 KNOWN_DEGREES = {
@@ -181,3 +189,145 @@ def test_character_table_cache_detects_tampering(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(Exception):
         load_character_table(table, path)
+
+
+# ---------------------------------------------------------------------------
+# the matrix-product lift and the Galois table against scalar references
+# ---------------------------------------------------------------------------
+
+def _reference_lift(ct):
+    """The scalar discrete Fourier lift of ct.mod_values: on a class of order
+    o (step e/o), m_s = (1/o) sum_u chi(g^u) z^(-step*s*u) mod P, one term at
+    a time, with power maps from perm_power and the scalar class lookup."""
+    table, e, P = ct.table, ct.exponent, ct.modular_prime
+    z = _root_powers(P, e)
+    power_class = [[table.class_of(perm_power(c.rep, u)) for u in range(c.order)]
+                   for c in table.classes]
+    values = []
+    for r in range(len(ct)):
+        row = []
+        for j, c in enumerate(table.classes):
+            o = c.order
+            step = e // o
+            f = [int(ct.mod_values[r][power_class[j][u]]) for u in range(o)]
+            support, mults = [], []
+            for sig in range(o):
+                m = 0
+                for u in range(o):
+                    m = (m + f[u] * int(z[(e - step * sig) * u % e])) % P
+                m = m * pow(o, -1, P) % P
+                if m:
+                    support.append(step * sig)
+                    mults.append(m)
+            row.append(CycValue(e, tuple(support), tuple(mults)))
+        values.append(row)
+    return values
+
+
+def _reference_fixed(ct, ks):
+    """{k: per character, fixed by sigma_k}, by CycValue.galois on each
+    distinct value of the table."""
+    distinct = {v: i for i, v in enumerate(dict.fromkeys(
+        v for row in ct.values for v in row))}
+    rows = [[distinct[v] for v in row] for row in ct.values]
+    out = {}
+    for k in ks:
+        fixed = [v.galois(k) == v for v in distinct]
+        out[k] = [all(fixed[i] for i in row) for row in rows]
+    return out
+
+
+def _reference_flags(ct, p):
+    e = ct.exponent
+    e_p = p_part(e, p)
+
+    def fixed(m):
+        gens = _congruence_subgroup_generators(e, m)
+        return [all(f) for f in zip([True] * len(ct),
+                                    *_reference_fixed(ct, gens).values())]
+
+    return [RationalityFlags(*f) for f in zip(
+        fixed(1), fixed(e // e_p), fixed(e_p), fixed(gcd(e, p)))]
+
+
+@pytest.mark.parametrize("key", [e.key for e in default_catalog()])
+def test_lift_and_galois_table_match_scalar_references(key):
+    group, _ = harness.built_entry(key)
+    table = harness.class_table_for(key)
+    if not harness.chartab_feasible(entry_by_key(key)):
+        with pytest.raises(ResourceLimitError):
+            character_table(group, table)
+        return
+    ct = harness.character_table_for(key)
+    assert ct.values == _reference_lift(ct)
+    e = ct.exponent
+    units = [k for k in range(1, max(e, 2)) if gcd(k, e) == 1]
+    for k, fixed in _reference_fixed(ct, units).items():
+        assert ct.fixed_count(k) == sum(fixed)
+    for p in factorize(group.order).primes():
+        assert classify_rationality(ct, p) == _reference_flags(ct, p)
+
+
+@st.composite
+def _cyc_values(draw):
+    """Random values mod a random exponent, some summed over the orbit of a
+    unit so that they are fixed by it."""
+    e = draw(st.integers(1, 60))
+    units = [k for k in range(e) if gcd(k, e) == 1]
+    values = []
+    for _ in range(draw(st.integers(1, 6))):
+        cells = draw(st.dictionaries(st.integers(0, e - 1), st.integers(1, 3),
+                                     max_size=6))
+        if draw(st.booleans()):
+            h = draw(st.sampled_from(units))
+            orbit = {}
+            for s, m in cells.items():
+                t = s
+                while True:
+                    orbit[t] = orbit.get(t, 0) + m
+                    t = t * h % e
+                    if t == s:
+                        break
+            cells = orbit
+        support = tuple(sorted(cells))
+        values.append(CycValue(e, support, tuple(cells[s] for s in support)))
+    return e, values
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cyc_values())
+def test_galois_fixed_table_matches_galois(case):
+    e, values = case
+    units, fixed = galois_fixed_table(values, e)
+    assert units.tolist() == [k for k in range(e) if gcd(k, e) == 1]
+    expected = [[v.galois(int(k)) == v for k in units] for v in values]
+    assert fixed.tolist() == expected
+
+
+def test_exact_orthogonality_rejects_a_galois_conjugate_cell(tables):
+    _, table, ct = tables("alt(5)")
+    sizes = np.array(table.sizes)
+    inv_class = [int(pw[-1]) for pw in ct.power]
+    _verify_exact_orthogonality(ct, sizes, inv_class, table.group.order)
+    e = ct.exponent
+    r, j, k = next((r, j, k) for r, row in enumerate(ct.values)
+                   for j, v in enumerate(row) for k in range(2, e)
+                   if gcd(k, e) == 1 and v.galois(k) != v)
+    values = [list(row) for row in ct.values]
+    values[r][j] = values[r][j].galois(k)
+    with pytest.raises(ConsistencyError, match="exact row orthogonality"):
+        _verify_exact_orthogonality(dataclasses.replace(ct, values=values),
+                                    sizes, inv_class, table.group.order)
+
+
+def test_brauer_cross_check_rejects_a_wrong_power_map(tables):
+    """On psl2(7) (e = 84) sigma_5 swaps the two classes of order 7; a
+    power table in which one of them is fixed by every power map must fail
+    the check."""
+    _, table, ct = tables("psl2(7)")
+    j = next(j for j, c in enumerate(table.classes) if c.order == 7)
+    power = list(ct.power)
+    power[j] = np.full(7, j)
+    power[j][0] = 0
+    with pytest.raises(ConsistencyError, match="Brauer count mismatch at k=5"):
+        brauer_cross_check(table, dataclasses.replace(ct, power=power))

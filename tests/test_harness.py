@@ -2,6 +2,7 @@
 
 import json
 import re
+from math import gcd
 
 import pytest
 
@@ -200,3 +201,101 @@ def test_tampered_character_cache_warns_and_recomputes(fresh_cache):
     fresh = chartab.character_table(harness.built_entry(key)[0],
                                     class_table_for(key))
     assert ct.degrees == fresh.degrees and ct.values == fresh.values
+
+
+def _read_cell(cell):
+    return {} if cell == "-" else {
+        int(s): int(m) for s, m in (sm.split(":") for sm in cell.split(","))}
+
+
+def _write_cell(cells):
+    return ",".join(f"{s}:{m}" for s, m in sorted(cells.items())) or "-"
+
+
+def _tamper_character_cache(path, change):
+    """Replace the first cell off the identity class for which change({s:
+    m}) returns new multiplicities."""
+    lines = path.read_text().splitlines()
+    for i in range(6, len(lines)):
+        d, *cells = lines[i].split(" ")
+        for j in range(1, len(cells)):
+            new = change(_read_cell(cells[j]))
+            if new is not None:
+                cells[j] = _write_cell(new)
+                lines[i] = " ".join([d, *cells])
+                path.write_text("\n".join(lines) + "\n")
+                return
+    raise AssertionError("no cell to tamper with")
+
+
+def _reload_rejected(fresh_cache, key, reason):
+    path = fresh_cache / f"chars-{key}-v{harness.__version__}.txt"
+    harness.character_table_for.cache_clear()
+    with pytest.warns(UserWarning, match=rf"rejected cache file "
+                      rf".*{re.escape(path.name)}.*{reason}"):
+        ct = harness.character_table_for(key)
+    fresh = chartab.character_table(harness.built_entry(key)[0],
+                                    class_table_for(key))
+    assert ct.degrees == fresh.degrees and ct.values == fresh.values
+
+
+def test_galois_conjugate_cell_in_character_cache_is_rejected(fresh_cache):
+    key = "alt(5)"
+    e = harness.character_table_for(key).exponent
+    units = [k for k in range(2, e) if gcd(k, e) == 1]
+
+    def conjugate(cells):
+        for k in units:
+            image = {s * k % e: m for s, m in cells.items()}
+            if image != cells:
+                return image
+        return None
+
+    _tamper_character_cache(
+        fresh_cache / f"chars-{key}-v{harness.__version__}.txt", conjugate)
+    _reload_rejected(fresh_cache, key, "ConsistencyError")
+
+
+def _shift_mass(exact: bool):
+    """A tamper moving multiplicity from zeta^c + zeta^d (the first two
+    support entries of a cell) to zeta^a + zeta^b with z^a + z^b = z^c + z^d
+    mod P, so degrees, masses and every mod-P value stay the same.  Two roots
+    of unity sum to the same as two others only if both pairs are antipodal
+    (zeta^(e/2) = -1): with exact=True the moved pair is antipodal and the
+    value stays equal, with exact=False it changes."""
+    key = "alt(5)"
+    ct = harness.character_table_for(key)
+    e, P = ct.exponent, ct.modular_prime
+    z = [pow(chartab._root_of_unity(P, e), t, P) for t in range(e)]
+
+    def shift(cells):
+        if len(cells) < 2:
+            return None
+        c, d = sorted(cells)[:2]
+        if (d - c == e // 2) != exact:
+            return None
+        for a in range(e):
+            for b in range(a + 1, e):
+                if ({a, b} != {c, d} and (b - a == e // 2) == exact
+                        and (z[a] + z[b] - z[c] - z[d]) % P == 0):
+                    new = dict(cells)
+                    for t, step in ((c, -1), (d, -1), (a, 1), (b, 1)):
+                        new[t] = new.get(t, 0) + step
+                    return {t: m for t, m in new.items() if m}
+        return None
+
+    return key, shift
+
+
+def test_character_cache_tamper_invisible_mod_p_is_rejected(fresh_cache):
+    key, shift = _shift_mass(exact=False)
+    _tamper_character_cache(
+        fresh_cache / f"chars-{key}-v{harness.__version__}.txt", shift)
+    _reload_rejected(fresh_cache, key, "exact row orthogonality failed")
+
+
+def test_character_cache_with_other_multiplicities_is_rejected(fresh_cache):
+    key, shift = _shift_mass(exact=True)
+    _tamper_character_cache(
+        fresh_cache / f"chars-{key}-v{harness.__version__}.txt", shift)
+    _reload_rejected(fresh_cache, key, "not the lift of the values")
