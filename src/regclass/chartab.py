@@ -419,14 +419,10 @@ class CharacterTable:
         return len(self.degrees)
 
     @cached_property
-    def _interned(self) -> tuple[list[CycValue], np.ndarray]:
-        return _intern(self.values)
-
-    @cached_property
     def _galois(self) -> tuple[np.ndarray, np.ndarray]:
         """The units k mod e and rows_fixed[character, unit]: sigma_k fixes
         every value of the character."""
-        distinct, value_id = self._interned
+        distinct, value_id = _intern(self.values)
         units, fixed = galois_fixed_table(distinct, self.exponent)
         return units, np.stack([fixed[ids].all(axis=0) for ids in value_id])
 
@@ -603,7 +599,7 @@ def _verify_exact_orthogonality(ct: CharacterTable, sizes, inv_class, n):
     mass_row = int(np.sum(sizes)) * max_d * max_d
     mass_col = sum(d * d for d in ct.degrees)
     bound = 2 * (max(mass_row, mass_col) + n) * height
-    distinct, value_id = ct._interned
+    distinct, value_id = _intern(ct.values)
     units = _units(e)
     conj = np.searchsorted(units, -units % e)  # column of -k for unit k
     eye = np.eye(K, dtype=np.int64)
@@ -740,13 +736,15 @@ def brauer_cross_check(table: ClassTable, ct: CharacterTable) -> None:
     """For every Galois element sigma_k: the number of fixed characters must
     equal the number of classes fixed by g -> g^k; for odd p dividing |G|,
     the p-rational character count must match the permutation-side count and
-    dominate k_{p'}.  Any mismatch is a hard engine failure."""
+    dominate k_{p'}.  Any mismatch is a hard engine failure.  The class side
+    reads ct.power, so table must be the class table ct was built on."""
     from .permgroup import galois_fixed_class_count
+    if table is not ct.table:
+        raise ValueError("the character table was built on another class table")
     units, rows_fixed = ct._galois
     chars_fixed = rows_fixed.sum(axis=0)
     # class j is fixed by g -> g^k iff power[j][k mod o_j] == j
-    power = ct.power if table is ct.table else _power_table(table)
-    classes_fixed = sum(pw[units % len(pw)] == j for j, pw in enumerate(power))
+    classes_fixed = sum(pw[units % len(pw)] == j for j, pw in enumerate(ct.power))
     bad = np.flatnonzero(chars_fixed != classes_fixed)
     if len(bad):
         u = bad[0]

@@ -198,8 +198,9 @@ class StabilizerChain:
         return len(self.base)
 
     def _register(self, g: np.ndarray, level: int) -> bool:
-        """Record g as a strong generator at the deepest level whose leading
-        base points it fixes (creating a new level if it fixes all of them)."""
+        """Record a copy of g as a strong generator at the deepest level whose
+        leading base points it fixes (creating a new level if it fixes all of
+        them); a g already recorded is dropped before it is copied."""
         key = perm_key(g)
         if key in self._gen_keys:
             return False
@@ -214,7 +215,7 @@ class StabilizerChain:
             self.level_gens.append([])
             self.levels.append(self._transversal(b, []))
             self._built_from.append(0)
-        self.level_gens[at].append(g)
+        self.level_gens[at].append(g.copy())
         return True
 
     def _gens_from(self, level: int):
@@ -296,11 +297,8 @@ class StabilizerChain:
             residues = _gather_rows(inv, position[stacked[s, orbit[x]]],
                                     _gather_rows(stacked, s, forward[x]))
             self._sift_rows(residues, level + 1, depth)
-            # _register records every key it is given and drops a repeated
-            # row: test the key first, so only first occurrences are copied
             for k in np.flatnonzero((residues != identity).any(axis=1)).tolist():
-                if residues[k].tobytes() not in self._gen_keys:
-                    changed |= self._register(residues[k].copy(), level + 1)
+                changed |= self._register(residues[k], level + 1)
         return changed
 
     @property

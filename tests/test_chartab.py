@@ -331,3 +331,11 @@ def test_brauer_cross_check_rejects_a_wrong_power_map(tables):
     power[j][0] = 0
     with pytest.raises(ConsistencyError, match="Brauer count mismatch at k=5"):
         brauer_cross_check(table, dataclasses.replace(ct, power=power))
+
+
+def test_brauer_cross_check_rejects_a_foreign_class_table(tables):
+    """The class side reads the power table stored with the character
+    table, so a class table other than the one it was built on is refused."""
+    group, _, ct = tables("psl2(7)")
+    with pytest.raises(ValueError, match="another class table"):
+        brauer_cross_check(conjugacy_classes(group), ct)
