@@ -269,14 +269,17 @@ def _build_pgammal2(q):
     return PermGroup(len(points), gens, name=f"PGammaL2({q})"), []
 
 
-def _build_sl2(q):
+def _sl2_points(q):
+    """GF(q), the nonzero vectors of GF(q)^2 (the points of the sl2(q)
+    catalog action) and their index."""
     ell, f = factorize(q).pairs[0]
     F = gf.make_field(ell, f)
-    vectors = []
-    for code in range(1, q * q):
-        hi, lo = divmod(code, q)
-        vectors.append((F.from_int(hi), F.from_int(lo)))
-    index = {v: i for i, v in enumerate(vectors)}
+    vectors = [tuple(map(F.from_int, divmod(code, q))) for code in range(1, q * q)]
+    return F, vectors, {v: i for i, v in enumerate(vectors)}
+
+
+def _build_sl2(q):
+    F, vectors, index = _sl2_points(q)
     gens = [as_perm([index[mat_apply(F, M, v)] for v in vectors], len(vectors))
             for M in _sl2_matrices(F)]
     return PermGroup(len(vectors), gens, name=f"SL2({q})"), []
@@ -284,13 +287,7 @@ def _build_sl2(q):
 
 def sl2_center(q):
     """Generators of the center {+-I} of the sl2(q) catalog action."""
-    ell, f = factorize(q).pairs[0]
-    F = gf.make_field(ell, f)
-    vectors = []
-    for code in range(1, q * q):
-        hi, lo = divmod(code, q)
-        vectors.append((F.from_int(hi), F.from_int(lo)))
-    index = {v: i for i, v in enumerate(vectors)}
+    F, vectors, index = _sl2_points(q)
     neg = as_perm([index[(F.neg(v[0]), F.neg(v[1]))] for v in vectors],
                   len(vectors))
     return [neg]

@@ -1,9 +1,12 @@
 """Exact ordinary character tables via the Burnside-Dixon method.
 
 Class-multiplication matrices are simultaneously diagonalized over GF(P) for
-a deterministic prime P = 1 (mod exponent), P > 2*sqrt(|G|); eigenvector rows
-are lifted to exact cyclotomic integers (multiplicity vectors over e-th roots
-of unity) by the discrete Fourier lift over power maps.
+a deterministic prime P = 1 (mod exponent), P > 2*sqrt(|G|): each step
+splits a subspace into the eigenspaces of one class matrix, whose dimensions
+must sum to its dimension, with one Gauss-Jordan elimination (`_rref_mod`)
+for both the coordinates and the kernels.  Eigenvector rows are lifted to
+exact cyclotomic integers (multiplicity vectors over e-th roots of unity) by
+the discrete Fourier lift over power maps.
 
 The power maps come from one power table: the powers rep^0..rep^(o-1) of
 every class representative, stacked and classified by one batched class
@@ -35,7 +38,8 @@ from math import gcd
 
 import numpy as np
 
-from .numtheory import divisors, factorize, is_prime, p_part
+from .numtheory import (cyclotomic_coeffs, divisors, factorize, is_prime,
+                        p_part)
 from .permgroup import (CHUNK, ClassTable, ConsistencyError, PermGroup,
                         ResourceLimitError, _primitive_root, class_counts,
                         identity_perm, inverse_rows)
@@ -156,41 +160,8 @@ def _evaluations(values, e: int, q: int, ks: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# cyclotomic polynomial coefficients (for the exact zero test bound)
+# cyclotomic reduction height (for the exact zero test bound)
 # ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def cyclotomic_coeffs(n: int) -> tuple[int, ...]:
-    """Integer coefficients of Phi_n(x), constant term first."""
-    if n == 1:
-        return (-1, 1)
-    # divide x^n - 1 by the product of all lower cyclotomic factors
-    num = [-1] + [0] * (n - 1) + [1]
-    for d in divisors(n):
-        if d < n:
-            num = _exact_poly_div(num, list(cyclotomic_coeffs(d)))
-    return tuple(num)
-
-
-def _exact_poly_div(num: list[int], den: list[int]) -> list[int]:
-    """Exact division of integer polynomials (monic-leading denominators of
-    the cyclotomic kind have leading coefficient +-1)."""
-    num = list(num)
-    lead = den[-1]
-    out = [0] * (len(num) - len(den) + 1)
-    for i in range(len(out) - 1, -1, -1):
-        c = num[i + len(den) - 1]
-        if c % lead:
-            raise ArithmeticError("non-exact polynomial division")
-        c //= lead
-        out[i] = c
-        if c:
-            for j, dj in enumerate(den):
-                num[i + j] -= c * dj
-    if any(num):
-        raise ArithmeticError("non-exact polynomial division")
-    return out
-
 
 @lru_cache(maxsize=None)
 def _reduction_height(e: int) -> int:
@@ -281,27 +252,34 @@ def class_matrix(table: ClassTable, i: int) -> np.ndarray:
 # mod-P linear algebra
 # ---------------------------------------------------------------------------
 
+def _rref_mod(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """The reduced row echelon form of A mod p and its pivot columns, by
+    Gauss-Jordan elimination with one vectorized row update per pivot."""
+    R = np.asarray(A, dtype=np.int64) % p
+    pivots = []
+    for col in range(R.shape[1]):
+        row = len(pivots)
+        nz = np.flatnonzero(R[row:, col])
+        if not len(nz):
+            continue
+        R[[row, row + nz[0]]] = R[[row + nz[0], row]]
+        R[row] = R[row] * pow(int(R[row, col]), -1, p) % p
+        factor = R[:, col].copy()
+        factor[row] = 0
+        R = (R - np.outer(factor, R[row])) % p
+        pivots.append(col)
+    return R, pivots
+
+
 def _solve_coords(B: np.ndarray, Y: np.ndarray, p: int) -> np.ndarray:
     """X with B X = Y (mod p); B is K x m with full column rank."""
-    K, m = B.shape
-    aug = np.concatenate([B % p, Y % p], axis=1).astype(np.int64)
-    row = 0
-    pivots = []
-    for col in range(m):
-        piv = next((r for r in range(row, K) if aug[r][col] % p), None)
-        if piv is None:
-            raise ConsistencyError("basis matrix is column-rank deficient")
-        aug[[row, piv]] = aug[[piv, row]]
-        aug[row] = aug[row] * pow(int(aug[row][col]), -1, p) % p
-        for r in range(K):
-            if r != row and aug[r][col]:
-                aug[r] = (aug[r] - aug[r][col] * aug[row]) % p
-        pivots.append(col)
-        row += 1
-    X = aug[:m, m:]
-    if K > m and np.any(aug[m:, m:] % p):
+    m = B.shape[1]
+    R, pivots = _rref_mod(np.concatenate([B, Y], axis=1), p)
+    if pivots[:m] != list(range(m)):
+        raise ConsistencyError("basis matrix is column-rank deficient")
+    if len(pivots) > m:
         raise ConsistencyError("inconsistent linear system (not invariant)")
-    return X % p
+    return R[:m, m:]
 
 
 def _charpoly_mod(A: np.ndarray, p: int) -> list[int]:
@@ -341,64 +319,43 @@ def _charpoly_mod(A: np.ndarray, p: int) -> list[int]:
     return [int(c) for c in polys[m]]
 
 
-def _poly_roots_mod(coeffs: list[int], p: int) -> dict[int, int]:
-    """All roots in GF(p) with multiplicities, by vectorized scan."""
+def _poly_roots_mod(coeffs: list[int], p: int) -> list[int]:
+    """The distinct roots in GF(p), ascending, by vectorized scan."""
     xs = np.arange(p, dtype=np.int64)
     vals = np.zeros(p, dtype=np.int64)
     for c in reversed(coeffs):
         vals = (vals * xs + c) % p
-    roots = {}
-    for r in np.nonzero(vals == 0)[0]:
-        r = int(r)
-        mult = 0
-        cur = list(coeffs)
-        while len(cur) > 1 and _poly_eval_mod(cur, r, p) == 0:
-            cur = _deflate(cur, r, p)
-            mult += 1
-        roots[r] = mult
-    return roots
-
-
-def _poly_eval_mod(coeffs, x, p):
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * x + c) % p
-    return acc
-
-
-def _deflate(coeffs, r, p):
-    out = [0] * (len(coeffs) - 1)
-    acc = 0
-    for i in range(len(coeffs) - 1, 0, -1):
-        acc = (acc * r + coeffs[i]) % p
-        out[i - 1] = acc
-    return out
+    return np.flatnonzero(vals == 0).tolist()
 
 
 def _nullspace_mod(A: np.ndarray, p: int) -> np.ndarray:
-    """Columns spanning ker(A) mod p."""
-    m = len(A)
-    M = A.copy() % p
-    pivots = {}
-    row = 0
-    for col in range(m):
-        piv = next((r for r in range(row, m) if M[r][col] % p), None)
-        if piv is None:
-            continue
-        M[[row, piv]] = M[[piv, row]]
-        M[row] = M[row] * pow(int(M[row][col]), -1, p) % p
-        for r in range(m):
-            if r != row and M[r][col]:
-                M[r] = (M[r] - M[r][col] * M[row]) % p
-        pivots[col] = row
-        row += 1
+    """Columns spanning ker(A) mod p, one per non-pivot column of the
+    reduced row echelon form."""
+    m = A.shape[1]
+    R, pivots = _rref_mod(A, p)
     free = [c for c in range(m) if c not in pivots]
     basis = np.zeros((m, len(free)), dtype=np.int64)
-    for idx, fc in enumerate(free):
-        basis[fc][idx] = 1
-        for col, prow in pivots.items():
-            basis[col][idx] = (-int(M[prow][fc])) % p
+    basis[free, range(len(free))] = 1
+    basis[pivots] = -R[:len(pivots)][:, free] % p
     return basis
+
+
+def _eigen_split(B: np.ndarray, M: np.ndarray, p: int) -> list[np.ndarray]:
+    """The eigenspaces of M on the M-invariant subspace spanned by the
+    columns of B, as basis matrices by ascending eigenvalue in GF(p).
+
+    Their dimensions sum to m = B.shape[1] iff M is diagonalizable there
+    over GF(p): an eigenspace is no larger than the root's multiplicity in
+    the characteristic polynomial, and the multiplicities of the roots in
+    GF(p) sum to at most m."""
+    m = B.shape[1]
+    X = _solve_coords(B, M @ B % p, p)
+    eye = np.eye(m, dtype=np.int64)
+    spaces = [_nullspace_mod((X - lam * eye) % p, p)
+              for lam in _poly_roots_mod(_charpoly_mod(X, p), p)]
+    if sum(ns.shape[1] for ns in spaces) != m:
+        raise ConsistencyError("class matrix not diagonalizable over GF(P)")
+    return [B @ ns % p for ns in spaces]
 
 
 # ---------------------------------------------------------------------------
@@ -513,22 +470,8 @@ def character_table(group: PermGroup, table: ClassTable) -> CharacterTable:
         if all(B.shape[1] == 1 for B in subspaces):
             break
         M = class_matrix(table, i) % P
-        refined = []
-        for B in subspaces:
-            m = B.shape[1]
-            if m == 1:
-                refined.append(B)
-                continue
-            X = _solve_coords(B, M @ B % P, P)
-            roots = _poly_roots_mod(_charpoly_mod(X, P), P)
-            if sum(roots.values()) != m:
-                raise ConsistencyError("class matrix not split over GF(P)")
-            for lam in sorted(roots):
-                ns = _nullspace_mod((X - lam * np.eye(m, dtype=np.int64)) % P, P)
-                if ns.shape[1] != roots[lam]:
-                    raise ConsistencyError("eigenspace dimension mismatch")
-                refined.append(B @ ns % P)
-        subspaces = refined
+        subspaces = [part for B in subspaces for part in
+                     ([B] if B.shape[1] == 1 else _eigen_split(B, M, P))]
     if any(B.shape[1] != 1 for B in subspaces):
         raise ConsistencyError("class matrices failed to separate characters")
 

@@ -80,16 +80,17 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_chartab(args) -> int:
-    entry_by_key(args.entry)
+    order = entry_by_key(args.entry).order
+    primes = factorize(order).primes()
+    if args.p is not None and args.p not in primes:
+        print(f"p={args.p} is not a prime dividing the group order {order}",
+              file=sys.stderr)
+        return 2
     ct = harness.character_table_for(args.entry)
     table = harness.class_table_for(args.entry)
     print(f"{args.entry}: {len(ct.degrees)} irreducible characters, "
           f"degrees {sorted(ct.degrees)}")
-    primes = factorize(table.group.order).primes()
-    for p in ([args.p] if args.p else primes):
-        if table.group.order % p:
-            print(f"p={p} does not divide the group order", file=sys.stderr)
-            return 2
+    for p in ([args.p] if args.p is not None else primes):
         rep = character_count_report(ct, p)
         cc = class_counts(table, p)
         cmp_word = {-1: "<", 0: "=", 1: ">"}[rep.union_vs_bound]

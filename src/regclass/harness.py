@@ -338,7 +338,7 @@ def verify_theorem3(entries=None) -> VerificationReport:
     cases: list[CaseRecord] = []
     for e in _sorted_entries(entries):
         try:
-            feasible = e.order <= chartab.MAX_ORDER and chartab_feasible(e)
+            feasible = chartab_feasible(e)
         except ResourceLimitError:
             feasible = False
         if not feasible:

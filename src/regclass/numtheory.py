@@ -1,10 +1,10 @@
 """Exact integer and rational arithmetic primitives.
 
-Factorization, totients, cyclotomic polynomial values (including the twisted
-Suzuki/Ree variants), partition counts, primitive prime divisors, and exact
-comparison of integers against the irrational thresholds 2*sqrt(p-1) and
-2*(p-1)**(1/4).  Everything here is integer/rational arithmetic; no floating
-point is used anywhere.
+Factorization, totients, cyclotomic polynomial coefficients and values
+(including the twisted Suzuki/Ree variants), partition counts, primitive
+prime divisors, and exact comparison of integers against the irrational
+thresholds 2*sqrt(p-1) and 2*(p-1)**(1/4).  Everything here is
+integer/rational arithmetic; no floating point is used anywhere.
 """
 
 from dataclasses import dataclass
@@ -151,7 +151,9 @@ def euler_phi(n: int) -> int:
 
 
 def p_part(n: int, p: int) -> int:
-    """Largest power of p dividing n."""
+    """Largest power of p dividing n (n >= 1, p >= 2)."""
+    if p < 2:
+        raise ValueError(f"p_part requires p >= 2, got {p}")
     part = 1
     while n % p == 0:
         n //= p
@@ -172,21 +174,38 @@ def _mobius(n: int) -> int:
     return mu
 
 
+@lru_cache(maxsize=None)
+def cyclotomic_coeffs(n: int) -> tuple[int, ...]:
+    """Integer coefficients of Phi_n(x), constant term first.
+
+    The Moebius product prod_{d | n} (x^d - 1)^mu(n/d): the factors with
+    mu = +1 are multiplied out, then the product is divided exactly by each
+    factor with mu = -1."""
+    if n < 1:
+        raise ValueError("cyclotomic_coeffs requires n >= 1")
+    mu = {d: _mobius(n // d) for d in divisors(n)}
+    coeffs = [1]
+    for d in (d for d in mu if mu[d] == 1):
+        coeffs = [b - a for a, b in zip(coeffs + [0] * d, [0] * d + coeffs)]
+    for d in (d for d in mu if mu[d] == -1):
+        # c = (x^d - 1) q gives q[i] = q[i - d] - c[i]; run over every
+        # index, the top d terms of q vanish iff the division is exact
+        q = [-c for c in coeffs]
+        for i in range(d, len(q)):
+            q[i] += q[i - d]
+        if any(q[len(q) - d:]):
+            raise ArithmeticError("cyclotomic product did not divide evenly")
+        coeffs = q[:len(q) - d]
+    return tuple(coeffs)
+
+
 def cyclotomic_value(n: int, q: int) -> int:
-    """Phi_n(q), exactly, via the Moebius product over divisors of n."""
+    """Phi_n(q), exactly, by Horner evaluation of `cyclotomic_coeffs`."""
     if n < 1 or q < 2:
         raise ValueError("cyclotomic_value requires n >= 1, q >= 2")
-    num = 1
-    den = 1
-    for d in divisors(n):
-        mu = _mobius(n // d)
-        if mu == 1:
-            num *= q**d - 1
-        elif mu == -1:
-            den *= q**d - 1
-    value, rem = divmod(num, den)
-    if rem:
-        raise ArithmeticError("cyclotomic product did not divide evenly")
+    value = 0
+    for c in reversed(cyclotomic_coeffs(n)):
+        value = value * q + c
     return value
 
 
@@ -412,8 +431,8 @@ def sqrt_enclosure(x, bits: int = 64) -> Enclosure:
 
 __all__ = [
     "Factorization", "Enclosure", "factorize", "is_prime", "euler_phi",
-    "p_part", "cyclotomic_value", "twisted_cyclotomic", "divisors",
-    "partition_count", "odd_partition_count", "is_primitive_prime_divisor",
-    "cmp_threshold", "LESS", "EQUAL", "GREATER", "e_enclosure",
-    "sqrt_enclosure", "gcd", "lcm",
+    "p_part", "cyclotomic_coeffs", "cyclotomic_value", "twisted_cyclotomic",
+    "divisors", "partition_count", "odd_partition_count",
+    "is_primitive_prime_divisor", "cmp_threshold", "LESS", "EQUAL", "GREATER",
+    "e_enclosure", "sqrt_enclosure", "gcd", "lcm",
 ]

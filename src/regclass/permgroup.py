@@ -48,12 +48,13 @@ def identity_perm(degree: int) -> np.ndarray:
 
 
 def as_perm(images, degree: int | None = None) -> np.ndarray:
+    """A copy of images as a permutation array; the values are checked
+    before the cast to the narrow dtype, which would wrap or truncate."""
     arr = np.asarray(images)
     n = degree if degree is not None else len(arr)
-    out = np.array(arr, dtype=perm_dtype(n))
-    if sorted(out.tolist()) != list(range(n)):
+    if sorted(arr.tolist()) != list(range(n)):
         raise ValueError("not a permutation of 0..n-1")
-    return out
+    return arr.astype(perm_dtype(n))
 
 
 def perm_from_cycles(cycles, degree: int) -> np.ndarray:

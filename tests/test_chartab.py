@@ -1,6 +1,7 @@
 """Character tables: degrees, Galois actions, rationality counts, caching."""
 
 import dataclasses
+import itertools
 from math import gcd
 
 import numpy as np
@@ -11,14 +12,16 @@ from hypothesis import strategies as st
 
 from regclass import harness
 from regclass.catalog import default_catalog, entry_by_key
-from regclass.chartab import (CycValue, RationalityFlags,
-                              _congruence_subgroup_generators, _root_powers,
+from regclass.chartab import (CycValue, RationalityFlags, _charpoly_mod,
+                              _congruence_subgroup_generators, _eigen_split,
+                              _nullspace_mod, _root_powers, _solve_coords,
                               _verify_exact_orthogonality, brauer_cross_check,
                               character_count_report, character_table,
-                              classify_rationality, cyclotomic_coeffs,
-                              dixon_prime, galois_fixed_table,
-                              load_character_table, save_character_table)
-from regclass.numtheory import EQUAL, GREATER, factorize, p_part
+                              class_matrix, classify_rationality,
+                              cyclotomic_coeffs, dixon_prime,
+                              galois_fixed_table, load_character_table,
+                              save_character_table)
+from regclass.numtheory import EQUAL, GREATER, divisors, factorize, p_part
 from regclass.permgroup import (ConsistencyError, ResourceLimitError,
                                 class_counts, conjugacy_classes,
                                 galois_fixed_class_count, perm_power)
@@ -139,7 +142,7 @@ def test_galois_action_permutes_rows(tables):
 
 
 def test_cyclotomic_coeffs_match_sympy():
-    for n in list(range(1, 40)) + [105]:
+    for n in list(range(1, 40)) + [105, 420, 546, 1010, 1155, 4920]:
         oracle = tuple(int(c) for c in reversed(
             sympy.Poly(sympy.cyclotomic_poly(n, sympy.Symbol("x"))).all_coeffs()))
         assert cyclotomic_coeffs(n) == oracle
@@ -339,3 +342,210 @@ def test_brauer_cross_check_rejects_a_foreign_class_table(tables):
     group, _, ct = tables("psl2(7)")
     with pytest.raises(ValueError, match="another class table"):
         brauer_cross_check(conjugacy_classes(group), ct)
+
+
+# ---------------------------------------------------------------------------
+# the eigen-split against the elimination it replaced
+# ---------------------------------------------------------------------------
+
+def _reference_solve_coords(B, Y, p):
+    """X with B X = Y (mod p), one column of Y at a time, by scalar
+    Gauss-Jordan elimination on [B | y]."""
+    K, m = B.shape
+    X = np.zeros((m, Y.shape[1]), dtype=np.int64)
+    for c in range(Y.shape[1]):
+        aug = [[int(x) % p for x in B[r]] + [int(Y[r, c]) % p] for r in range(K)]
+        for col in range(m):
+            piv = next((r for r in range(col, K) if aug[r][col]), None)
+            if piv is None:
+                raise ConsistencyError("basis matrix is column-rank deficient")
+            aug[col], aug[piv] = aug[piv], aug[col]
+            inv = pow(aug[col][col], -1, p)
+            aug[col] = [x * inv % p for x in aug[col]]
+            for r in range(K):
+                if r != col and aug[r][col]:
+                    f = aug[r][col]
+                    aug[r] = [(x - f * y) % p for x, y in zip(aug[r], aug[col])]
+        if any(aug[r][m] for r in range(m, K)):
+            raise ConsistencyError("inconsistent linear system (not invariant)")
+        X[:, c] = [aug[r][m] for r in range(m)]
+    return X
+
+
+def _reference_roots(coeffs, p):
+    """{root: multiplicity} over GF(p): the roots by a scan of GF(p), each
+    multiplicity by repeated deflation."""
+    xs = np.arange(p, dtype=np.int64)
+    vals = np.zeros(p, dtype=np.int64)
+    for c in reversed(coeffs):
+        vals = (vals * xs + c) % p
+    roots = {}
+    for r in np.flatnonzero(vals == 0).tolist():
+        cur = list(coeffs)
+        while len(cur) > 1:
+            acc, quotient = 0, []
+            for c in reversed(cur):
+                acc = (acc * r + c) % p
+                quotient.append(acc)
+            if acc:
+                break
+            cur = quotient[-2::-1]
+            roots[r] = roots.get(r, 0) + 1
+    return roots
+
+
+def _reference_nullspace(A, p):
+    """Columns spanning ker(A) mod p, by scalar Gauss-Jordan elimination."""
+    m = len(A)
+    M = [[int(x) % p for x in row] for row in A]
+    pivots = {}
+    row = 0
+    for col in range(m):
+        piv = next((r for r in range(row, m) if M[r][col]), None)
+        if piv is None:
+            continue
+        M[row], M[piv] = M[piv], M[row]
+        inv = pow(M[row][col], -1, p)
+        M[row] = [x * inv % p for x in M[row]]
+        for r in range(m):
+            if r != row and M[r][col]:
+                f = M[r][col]
+                M[r] = [(x - f * y) % p for x, y in zip(M[r], M[row])]
+        pivots[col] = row
+        row += 1
+    free = [c for c in range(m) if c not in pivots]
+    basis = np.zeros((m, len(free)), dtype=np.int64)
+    for idx, fc in enumerate(free):
+        basis[fc][idx] = 1
+        for col, prow in pivots.items():
+            basis[col][idx] = -M[prow][fc] % p
+    return basis
+
+
+def _reference_degrees_and_mod_values(table, P):
+    """Degrees and mod-P character values as (degree, row) pairs, sorted:
+    the eigen-split with algebraic multiplicities by deflation, both
+    checks of the split, and the normalization of `character_table`."""
+    K, n = len(table.classes), table.group.order
+    subspaces = [np.eye(K, dtype=np.int64)]
+    for i in sorted(range(1, K), key=lambda i: (table.classes[i].size, i)):
+        if all(B.shape[1] == 1 for B in subspaces):
+            break
+        M = class_matrix(table, i) % P
+        refined = []
+        for B in subspaces:
+            m = B.shape[1]
+            if m == 1:
+                refined.append(B)
+                continue
+            X = _reference_solve_coords(B, M @ B % P, P)
+            roots = _reference_roots(_charpoly_mod(X, P), P)
+            assert sum(roots.values()) == m, "not split over GF(P)"
+            for lam in sorted(roots):
+                ns = _reference_nullspace((X - lam * np.eye(m, dtype=np.int64)) % P, P)
+                assert ns.shape[1] == roots[lam], "eigenspace dimension mismatch"
+                refined.append(B @ ns % P)
+        subspaces = refined
+    assert all(B.shape[1] == 1 for B in subspaces)
+    inv_class = [table.class_of(np.argsort(c.rep)) for c in table.classes]
+    sizes = [c.size for c in table.classes]
+    rows = []
+    for B in subspaces:
+        w = [int(x) * pow(int(B[0, 0]), -1, P) % P for x in B[:, 0]]
+        s = sum(w[j] * w[inv_class[j]] * pow(sizes[j], -1, P) for j in range(K)) % P
+        d_sq = n * pow(s, -1, P) % P
+        d = next(x for x in divisors(n) if x * x <= n and x * x % P == d_sq)
+        rows.append((d, tuple(d * w[j] * pow(sizes[j], -1, P) % P
+                              for j in range(K))))
+    return sorted(rows)
+
+
+@pytest.mark.parametrize("key", [e.key for e in default_catalog()])
+def test_eigen_split_matches_reference_elimination(key):
+    if not harness.chartab_feasible(entry_by_key(key)):
+        return
+    ct = harness.character_table_for(key)
+    rows = sorted(zip(ct.degrees, map(tuple, ct.mod_values.tolist())))
+    assert _reference_degrees_and_mod_values(ct.table, ct.modular_prime) == rows
+
+
+def _matrix(draw, p, rows, cols):
+    """A random rows x cols matrix over GF(p)."""
+    n = rows * cols
+    return np.array(draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n)),
+                    dtype=np.int64).reshape(rows, cols)
+
+
+def _full_rank(draw, p, K, m):
+    """A random K x m matrix B of rank m over GF(p), the rows of L [U; R]
+    permuted (L, U unit triangular), and the permuted L: its columns m..K-1
+    lie outside the column space of B, since U x = 0 forces x = 0."""
+    L = np.tril(_matrix(draw, p, K, K), -1) + np.eye(K, dtype=np.int64)
+    U = np.triu(_matrix(draw, p, m, m), 1) + np.eye(m, dtype=np.int64)
+    perm = np.array(draw(st.permutations(range(K))))
+    B = (L @ np.vstack([U, _matrix(draw, p, K - m, m)]) % p)[perm]
+    return B, L[perm]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 5), st.integers(0, 3),
+       st.integers(1, 3), st.data())
+def test_solve_coords_recovers_x_and_raises_both_errors(p, m, extra, cols, data):
+    K = m + extra
+    B, outside = _full_rank(data.draw, p, K, m)
+    X = _matrix(data.draw, p, m, cols)
+    Y = B @ X % p
+    assert (_solve_coords(B, Y, p) == X).all()
+    assert (_reference_solve_coords(B, Y, p) == X).all()
+    if extra:
+        bad = Y.copy()
+        bad[:, data.draw(st.integers(0, cols - 1))] += \
+            outside[:, data.draw(st.integers(m, K - 1))]
+        with pytest.raises(ConsistencyError, match="not invariant"):
+            _solve_coords(B, bad % p, p)
+    if m > 1:
+        dependent = B.copy()
+        c = data.draw(st.integers(1, m - 1))
+        dependent[:, c] = B[:, :c] @ _matrix(data.draw, p, c, 1)[:, 0] % p
+        with pytest.raises(ConsistencyError, match="column-rank deficient"):
+            _solve_coords(dependent, Y, p)
+
+
+def _vectors(p, k):
+    """Every vector of GF(p)^k, as the columns of a k x p^k matrix."""
+    return np.array(list(itertools.product(range(p), repeat=k)),
+                    dtype=np.int64).reshape(p ** k, k).T
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 4), st.integers(1, 4),
+       st.data())
+def test_nullspace_is_the_whole_kernel(p, rows, m, data):
+    A = _matrix(data.draw, p, rows, m)
+    N = _nullspace_mod(A, p)
+    assert N.shape[0] == m and not (A @ N % p).any()
+    # by brute force over GF(p)^m: |ker A| = p^(m - rank A), and the
+    # columns of N are independent, so they span all of it
+    kernel_size = int((~(A @ _vectors(p, m) % p).any(axis=0)).sum())
+    assert kernel_size == p ** N.shape[1]
+    span = N @ _vectors(p, N.shape[1]) % p
+    assert len({tuple(v) for v in span.T}) == kernel_size
+    if rows == m:
+        assert (N == _reference_nullspace(A, p)).all()
+
+
+@pytest.mark.parametrize("M", [[[1, 1], [0, 1]],    # Jordan block: one eigenvector
+                               [[0, 2], [1, 0]]])   # x^2 - 2 has no root mod 11
+def test_eigen_split_rejects_a_matrix_not_diagonalizable(M):
+    P = 11
+    M = np.array(M, dtype=np.int64)
+    B = np.array([[1, 0], [0, 1], [1, 1]], dtype=np.int64)  # invariant in 3 dims
+    M3 = np.zeros((3, 3), dtype=np.int64)
+    M3[:2, :2] = M
+    M3[2, :2] = M.sum(axis=0)
+    with pytest.raises(ConsistencyError, match="not diagonalizable over GF"):
+        _eigen_split(B[:2], M, P)
+    assert (M3 @ B % P == B @ M % P).all()
+    with pytest.raises(ConsistencyError, match="not diagonalizable over GF"):
+        _eigen_split(B, M3, P)
+

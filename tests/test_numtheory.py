@@ -56,6 +56,13 @@ def test_p_part(n, p):
     assert m == p ** sympy.multiplicity(p, n)
 
 
+@pytest.mark.parametrize("p", [1, 0, -3])
+def test_p_part_rejects_p_below_2(p):
+    # p = 1 divides everything: the loop would never end
+    with pytest.raises(ValueError, match="p >= 2"):
+        p_part(60, p)
+
+
 @given(st.integers(min_value=1, max_value=3000))
 def test_divisors_match_sympy(n):
     assert divisors(n) == sympy.divisors(n)

@@ -94,6 +94,20 @@ def test_as_perm_rejects_non_permutations():
         as_perm([0, 1, 3], 3)
 
 
+@pytest.mark.parametrize("images", [[256, 1, 2], [1.7, 0, 2], [257, 0, 2],
+                                    [-255, 0, 2], [65536 + 1, 0, 2]])
+def test_as_perm_checks_values_before_the_narrowing_cast(images):
+    """uint8 wraps 256 to 0 and truncates 1.7 to 1; such images must be
+    refused, not read as a permutation."""
+    with pytest.raises(ValueError, match="not a permutation"):
+        as_perm(images, 3)
+    with pytest.raises(ValueError, match="not a permutation"):
+        PermGroup(3, [images])
+    table = conjugacy_classes(PermGroup(3, [[1, 2, 0], [1, 0, 2]]))
+    with pytest.raises(ValueError, match="not a permutation"):
+        table.class_of(images)
+
+
 # ---------------------------------------------------------------------------
 # group order via stabilizer chain, against brute-force closure
 # ---------------------------------------------------------------------------
