@@ -16,11 +16,11 @@ eigenvalue multiplicities of all characters on that class; one matrix
 product mod P per class replaces a scalar loop over (character, s, u).
 
 Row and column orthogonality are verified exactly before a table is returned
-(and again when a cached table is loaded): inner products are evaluated at
-every primitive e-th root of unity modulo independent auxiliary primes whose
-product exceeds a rigorous coefficient bound, which pins the
-cyclotomic-integer values down exactly.  Each distinct value of the table is
-evaluated once per auxiliary prime and gathered into the value matrices.
+(and again when a cached table is loaded) modulo auxiliary primes whose
+product exceeds a rigorous coefficient bound, which pins the cyclotomic
+integers down exactly.  Each distinct value is evaluated at z and z^-1 only,
+once per prime: once every generator of the units mod e is seen to permute
+the rows, the Galois action carries the check to every primitive e-th root.
 
 Galois-theoretic classification (rational, p-rational, p'-rational,
 Q_p-valued characters) reads one boolean table fixed[value, unit] over the
@@ -42,7 +42,7 @@ from .numtheory import (cyclotomic_coeffs, divisors, factorize, is_prime,
                         p_part)
 from .permgroup import (CHUNK, ClassTable, ConsistencyError, PermGroup,
                         ResourceLimitError, _primitive_root, class_counts,
-                        identity_perm, inverse_rows)
+                        inverse_rows, power_class_map)
 
 MAX_CLASSES = 80
 MAX_ORDER = 3_000_000
@@ -150,13 +150,9 @@ def galois_fixed_table(values, e: int) -> tuple[np.ndarray, np.ndarray]:
 def _evaluations(values, e: int, q: int, ks: np.ndarray) -> np.ndarray:
     """[v, i]: values[v] at zeta -> z^ks[i] mod q, z as in `_root_powers`."""
     z = _root_powers(q, e)
-    vid, s, m, bounds = _support_entries(values)
-    out = np.empty((len(values), len(ks)), dtype=np.int64)
-    step = max(1, CHUNK // max(len(s), 1))
-    for lo in range(0, len(ks), step):
-        terms = z[s[:, None] * ks[None, lo:lo + step] % e] * m[:, None] % q
-        out[:, lo:lo + step] = _segment_sums(terms, bounds) % q
-    return out
+    _, s, m, bounds = _support_entries(values)
+    terms = z[s[:, None] * ks[None, :] % e] * m[:, None] % q
+    return _segment_sums(terms, bounds) % q
 
 
 # ---------------------------------------------------------------------------
@@ -362,15 +358,15 @@ def _eigen_split(B: np.ndarray, M: np.ndarray, p: int) -> list[np.ndarray]:
 # the character table
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class CharacterTable:
     table: ClassTable
     degrees: list[int]
-    values: list[list[CycValue]]  # [character][class]
+    values: tuple[tuple[CycValue, ...], ...]  # [character][class]
     exponent: int
     modular_prime: int
     mod_values: np.ndarray  # [character][class] mod P
-    power: list[np.ndarray]  # power[j][u] = class of rep_j^u, u < order
+    power: list[np.ndarray]  # table.power: class of rep_j^u, u < order
 
     def __len__(self):
         return len(self.degrees)
@@ -391,27 +387,8 @@ class CharacterTable:
             raise ValueError(f"not all of {ks.tolist()} are units mod {self.exponent}")
         return rows_fixed[:, np.searchsorted(units, ks)].all(axis=1)
 
-    def galois_fixed(self, char_index: int, k: int) -> bool:
-        return bool(self.fixed_by([k])[char_index])
-
     def fixed_count(self, k: int) -> int:
         return int(self.fixed_by([k]).sum())
-
-
-def _power_table(table: ClassTable) -> list[np.ndarray]:
-    """power[j][u] = class of rep_j^u for u below the order of class j, from
-    one batched lookup of all the stacked powers."""
-    rows = []
-    for c in table.classes:
-        g = identity_perm(table.group.degree)
-        for _ in range(c.order):
-            rows.append(g)
-            g = c.rep[g]
-    power = np.split(table.classes_of(np.stack(rows)),
-                     np.cumsum(table.orders)[:-1])
-    if any(pw[0] != 0 or pw[1 % len(pw)] != j for j, pw in enumerate(power)):
-        raise ConsistencyError("power table disagrees with the class list")
-    return power
 
 
 def _matmul_mod(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
@@ -450,7 +427,7 @@ def _lift(mod_values: np.ndarray, degrees, power, e: int, P: int):
             nz = np.flatnonzero(m)
             row.append(CycValue(e, tuple((step * nz).tolist()),
                                 tuple(m[nz].tolist())))
-    return values
+    return tuple(map(tuple, values))
 
 
 def character_table(group: PermGroup, table: ClassTable) -> CharacterTable:
@@ -476,7 +453,7 @@ def character_table(group: PermGroup, table: ClassTable) -> CharacterTable:
         raise ConsistencyError("class matrices failed to separate characters")
 
     # --- normalize, recover degrees and mod-P character values -------------
-    power = _power_table(table)
+    power = table.power
     inv_class = [int(pw[-1]) for pw in power]
     sizes = np.array([c.size for c in table.classes], dtype=np.int64)
     size_inv = np.array([pow(int(s), -1, P) for s in sizes], dtype=np.int64)
@@ -506,7 +483,7 @@ def character_table(group: PermGroup, table: ClassTable) -> CharacterTable:
     values = _lift(mod_values, degrees, power, e, P)
     order = sorted(range(K), key=lambda r: (
         degrees[r], tuple(v.dense_key() for v in values[r])))
-    values = [values[i] for i in order]
+    values = tuple(values[i] for i in order)
     degrees = [degrees[i] for i in order]
     mod_values = mod_values[order]
 
@@ -528,14 +505,27 @@ def _check_mod_orthogonality(chi: np.ndarray, sizes, inv_class, n, P):
 def _verify_exact_orthogonality(ct: CharacterTable, sizes, inv_class, n):
     """Exact row and column orthogonality over the cyclotomic integers.
 
-    Each inner product is a cyclotomic integer B; B equals the asserted
-    rational constant iff B - c reduces to zero mod Phi_e.  We evaluate B at
-    every primitive e-th root of unity modulo auxiliary primes Q_i = 1 mod e;
-    that forces the reduced coefficients to vanish mod prod(Q_i), and
-    prod(Q_i) is chosen to exceed twice a rigorous bound on those
-    coefficients, so they vanish exactly."""
+    Each inner product B equals its rational constant c iff B - c vanishes
+    at every primitive e-th root of unity modulo auxiliary primes Q_i = 1
+    mod e whose product exceeds twice a rigorous bound on the coefficients
+    of B - c reduced mod Phi_e.
+
+    Only zeta -> z^(+-1) is evaluated; the Galois action gives the other
+    embeddings.  The values are the lift of mod_values: a fresh build has
+    this by construction, and `load_character_table` checks it right after
+    this function, accepting a load only when both checks pass.  So
+    sigma_k(chi) is chi read along g -> g^k, the lift of that mod-P row.  If
+    each generator k of the units mod e maps the rows of mod_values onto the
+    rows, every sigma_k therefore permutes the characters: the row Gram
+    matrix at z^k is the one at z with its rows and columns permuted, and
+    the column Gram matrix is the one at z."""
     e = ct.exponent
-    K = len(ct.degrees)
+    rows = sorted(map(tuple, ct.mod_values.tolist()))
+    for k in _congruence_subgroup_generators(e, 1):
+        mapped = ct.mod_values[:, power_class_map(ct.table, k)]
+        if sorted(map(tuple, mapped.tolist())) != rows:
+            raise ConsistencyError(f"exact row orthogonality failed: sigma_{k} "
+                                   "does not permute the rows")
     max_d = max(ct.degrees)
     height = _reduction_height(e)
     # coefficient mass of any inner product vector, before reduction
@@ -543,25 +533,19 @@ def _verify_exact_orthogonality(ct: CharacterTable, sizes, inv_class, n):
     mass_col = sum(d * d for d in ct.degrees)
     bound = 2 * (max(mass_row, mass_col) + n) * height
     distinct, value_id = _intern(ct.values)
-    units = _units(e)
-    conj = np.searchsorted(units, -units % e)  # column of -k for unit k
-    eye = np.eye(K, dtype=np.int64)
-    step = max(1, CHUNK // (K * K))
+    eye = np.eye(len(ct.degrees), dtype=np.int64)
     for Q in _aux_primes(e, bound):
-        # each distinct value at every embedding zeta -> zq^k, once; then the
-        # value matrices of a batch of units, [unit][character][class]
-        at = _evaluations(distinct, e, Q, units).T
+        # the value matrices at zeta -> zq and zeta -> zq^-1, each distinct
+        # value evaluated once; [embedding][character][class]
+        A = _evaluations(distinct, e, Q, np.array([1, e - 1])).T[:, value_id]
+        B = A[::-1]
         size_inv = np.array([pow(int(s), -1, Q) for s in sizes], dtype=np.int64)
-        expected_row = (n % Q) * eye % Q
-        expected_col = (n % Q) * size_inv % Q * eye % Q
-        for lo in range(0, len(units), step):
-            A = at[lo:lo + step][:, value_id]
-            B = at[conj[lo:lo + step]][:, value_id]
-            gram = (A * sizes % Q) @ B.transpose(0, 2, 1) % Q
-            if not (gram == expected_row).all():
-                raise ConsistencyError("exact row orthogonality failed")
-            if not (A.transpose(0, 2, 1) @ B % Q == expected_col).all():
-                raise ConsistencyError("exact column orthogonality failed")
+        gram_row = (A * sizes % Q) @ B.transpose(0, 2, 1) % Q
+        if not (gram_row == (n % Q) * eye).all():
+            raise ConsistencyError("exact row orthogonality failed")
+        gram_col = A.transpose(0, 2, 1) @ B % Q
+        if not (gram_col == (n % Q) * size_inv % Q * eye).all():
+            raise ConsistencyError("exact column orthogonality failed")
 
 
 # ---------------------------------------------------------------------------
@@ -578,26 +562,18 @@ class RationalityFlags:
 
 def _congruence_subgroup_generators(e: int, m: int) -> list[int]:
     """Generators of {k in U(e) : k = 1 (mod m)} for m | e."""
-    if e == 1:
-        return []
     gens = []
-    comps = factorize(e).pairs
-    for p, a in comps:
+    for p, a in factorize(e).pairs:
         pa = p**a
         b = 0
         mm = m
         while mm % p == 0:
             mm //= p
             b += 1
-        local = _local_unit_gens(p, a, b)
         rest = e // pa
-        for g in local:
-            if rest == 1:
-                gens.append(g % e)
-            else:
-                # CRT: g mod p^a, 1 mod rest
-                k = (g * rest * pow(rest, -1, pa) + pa * pow(pa, -1, rest)) % e
-                gens.append(k)
+        # CRT: g mod p^a, 1 mod rest
+        gens += [(g * rest * pow(rest, -1, pa) + pa * pow(pa, -1, rest)) % e
+                 for g in _local_unit_gens(p, a, b)]
     return [g for g in gens if g != 1 % e]
 
 
@@ -745,9 +721,9 @@ def load_character_table(table: ClassTable, path) -> CharacterTable:
 
     Degrees, mass sums, the degree-square identity, mod-P row orthogonality
     and the exact row and column orthogonality that a fresh build runs
-    (`_verify_exact_orthogonality`, one evaluation per distinct value and
-    auxiliary prime) are all re-checked, and the multiplicities must be the
-    lift of the values' own mod-P images; mismatches raise
+    (`_verify_exact_orthogonality`) are all re-checked, in that order, and
+    then the multiplicities must be the lift of the values' own mod-P
+    images, which the exact check relies on; mismatches raise
     ConsistencyError."""
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh]
@@ -791,13 +767,14 @@ def load_character_table(table: ClassTable, path) -> CharacterTable:
         if row[0].support != (0,) or row[0].mults != (d,):
             raise ConsistencyError("cached identity column disagrees with degree")
         degrees.append(d)
-        values.append(row)
+        values.append(tuple(row))
+    values = tuple(values)
     if sum(d * d for d in degrees) != n:
         raise ConsistencyError("cached degree squares do not sum to the order")
     distinct, value_id = _intern(values)
     mod_values = _evaluations(distinct, e, P, np.ones(1, dtype=np.int64))[value_id, 0]
     sizes = np.array([c.size for c in table.classes], dtype=np.int64)
-    power = _power_table(table)
+    power = table.power
     inv_class = [int(pw[-1]) for pw in power]
     _check_mod_orthogonality(mod_values, sizes, inv_class, n, P)
     ct = CharacterTable(table=table, degrees=degrees, values=values,

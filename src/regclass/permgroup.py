@@ -480,7 +480,8 @@ class ClassTable:
     Classes sorted by (element order, class size, lex-least representative);
     the identity class is index 0.  `class_id[r]` is the class index of the
     element of rank r in the group's rank index; `classes_of` sifts rows to
-    ranks, rejecting any outside the group, and reads that array.
+    ranks, rejecting any outside the group, and reads that array.  `power`,
+    the classes of the powers of each representative, is built on first use.
     """
 
     def __init__(self, group: PermGroup, classes: list[ConjugacyClass],
@@ -500,6 +501,22 @@ class ClassTable:
     @property
     def orders(self):
         return [c.order for c in self.classes]
+
+    @cached_property
+    def power(self) -> list[np.ndarray]:
+        """power[j][u] = class of rep_j^u for u below the order of class j,
+        from one batched lookup of all the stacked powers."""
+        rows = []
+        for c in self.classes:
+            g = identity_perm(self.group.degree)
+            for _ in range(c.order):
+                rows.append(g)
+                g = c.rep[g]
+        power = np.split(self.classes_of(np.stack(rows)),
+                         np.cumsum(self.orders)[:-1])
+        if any(pw[0] != 0 or pw[1 % len(pw)] != j for j, pw in enumerate(power)):
+            raise ConsistencyError("power table disagrees with the class list")
+        return power
 
     def classes_of(self, perms) -> np.ndarray:
         """Class index of each row of an N x degree array."""
@@ -663,8 +680,7 @@ def power_class_map(table: ClassTable, k: int) -> list[int]:
     e = table.exponent
     if gcd(k, e) != 1:
         raise ValueError(f"k={k} is not coprime to the exponent {e}")
-    powers = np.stack([perm_power(c.rep, k) for c in table.classes])
-    return table.classes_of(powers).tolist()
+    return [int(pw[k % len(pw)]) for pw in table.power]
 
 
 def galois_fixed_class_count(table: ClassTable, p: int) -> int:
@@ -681,10 +697,7 @@ def galois_fixed_class_count(table: ClassTable, p: int) -> int:
     e_pp = e // e_p
     g0 = _primitive_root(e_p)
     # CRT: k = g0 mod e_p, k = 1 mod e_pp
-    if e_pp == 1:
-        k = g0
-    else:
-        k = (g0 * e_pp * pow(e_pp, -1, e_p) + e_p * pow(e_p, -1, e_pp)) % e
+    k = (g0 * e_pp * pow(e_pp, -1, e_p) + e_p * pow(e_p, -1, e_pp)) % e
     mapping = power_class_map(table, k)
     return sum(1 for i, j in enumerate(mapping) if i == j)
 
@@ -771,17 +784,19 @@ def quotient_group(group: PermGroup, normal_gens, name: str | None = None,
 
 def burnside_class_count(group: PermGroup, cap: int = 10_000) -> int:
     """Number of classes as the average number of fixed points of the
-    conjugation action, computed exhaustively (an independent oracle)."""
+    conjugation action, computed exhaustively (an independent oracle).
+    g x g^-1 = x is tested on the base points, whose images determine an
+    element: (g x g^-1)(b) = g[x[g^-1[b]]]."""
     n = group.order
     if n > cap:
         raise ResourceLimitError(f"group order {n} exceeds Burnside cap {cap}")
+    base = np.array(group.chain.base, dtype=np.intp)
     elements = np.stack(list(group.elements()))
+    at_base = elements[:, base]
     total = 0
-    for i in range(n):
-        g = elements[i]
-        ginv = inverse(g)
-        conj_all = g[elements[:, ginv]]
-        total += int((conj_all == elements).all(axis=1).sum())
+    for g in elements:
+        conj_at_base = g[elements[:, inverse(g)[base]]]
+        total += int((conj_at_base == at_base).all(axis=1).sum())
     if total % n:
         raise ConsistencyError("fixed-point total not divisible by |G|")
     return total // n

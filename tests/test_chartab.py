@@ -12,9 +12,12 @@ from hypothesis import strategies as st
 
 from regclass import harness
 from regclass.catalog import default_catalog, entry_by_key
-from regclass.chartab import (CycValue, RationalityFlags, _charpoly_mod,
+from regclass.chartab import (CHUNK, CycValue, RationalityFlags,
+                              _aux_primes, _charpoly_mod,
                               _congruence_subgroup_generators, _eigen_split,
-                              _nullspace_mod, _root_powers, _solve_coords,
+                              _evaluations, _intern, _nullspace_mod,
+                              _reduction_height, _root_powers, _solve_coords,
+                              _units,
                               _verify_exact_orthogonality, brauer_cross_check,
                               character_count_report, character_table,
                               class_matrix, classify_rationality,
@@ -223,8 +226,37 @@ def _reference_lift(ct):
                     support.append(step * sig)
                     mults.append(m)
             row.append(CycValue(e, tuple(support), tuple(mults)))
-        values.append(row)
-    return values
+        values.append(tuple(row))
+    return tuple(values)
+
+
+def _reference_exact_orthogonality(ct, sizes, n):
+    """The exact check evaluated at every unit k mod e, without the Galois
+    argument: both Gram matrices of the values at zeta -> zq^k and zeta ->
+    zq^-k must be n I and n diag(1/|C_j|) mod each auxiliary prime."""
+    e, K = ct.exponent, len(ct)
+    max_d = max(ct.degrees)
+    mass_row = int(np.sum(sizes)) * max_d * max_d
+    mass_col = sum(d * d for d in ct.degrees)
+    bound = 2 * (max(mass_row, mass_col) + n) * _reduction_height(e)
+    distinct, value_id = _intern(ct.values)
+    units = _units(e)
+    conj = np.searchsorted(units, -units % e)  # column of -k for unit k
+    eye = np.eye(K, dtype=np.int64)
+    step = max(1, CHUNK // (K * K))
+    for Q in _aux_primes(e, bound):
+        at = np.concatenate([_evaluations(distinct, e, Q, units[i:i + 64])
+                             for i in range(0, len(units), 64)], axis=1).T
+        size_inv = np.array([pow(int(s), -1, Q) for s in sizes], dtype=np.int64)
+        for lo in range(0, len(units), step):
+            A = at[lo:lo + step][:, value_id]
+            B = at[conj[lo:lo + step]][:, value_id]
+            gram = (A * sizes % Q) @ B.transpose(0, 2, 1) % Q
+            if not (gram == (n % Q) * eye).all():
+                raise ConsistencyError("exact row orthogonality failed")
+            if not (A.transpose(0, 2, 1) @ B % Q
+                    == (n % Q) * size_inv % Q * eye).all():
+                raise ConsistencyError("exact column orthogonality failed")
 
 
 def _reference_fixed(ct, ks):
@@ -263,6 +295,10 @@ def test_lift_and_galois_table_match_scalar_references(key):
         return
     ct = harness.character_table_for(key)
     assert ct.values == _reference_lift(ct)
+    sizes = np.array(table.sizes, dtype=np.int64)
+    inv_class = [int(pw[-1]) for pw in ct.power]
+    _verify_exact_orthogonality(ct, sizes, inv_class, group.order)
+    _reference_exact_orthogonality(ct, sizes, group.order)
     e = ct.exponent
     units = [k for k in range(1, max(e, 2)) if gcd(k, e) == 1]
     for k, fixed in _reference_fixed(ct, units).items():
@@ -321,6 +357,41 @@ def test_exact_orthogonality_rejects_a_galois_conjugate_cell(tables):
     with pytest.raises(ConsistencyError, match="exact row orthogonality"):
         _verify_exact_orthogonality(dataclasses.replace(ct, values=values),
                                     sizes, inv_class, table.group.order)
+
+
+def test_exact_orthogonality_rejects_rows_not_closed_under_galois(tables):
+    """Swapping the two order-7 columns in one row of psl2(7)'s table (values
+    and mod-P values alike) makes it equal to the other 3-dimensional
+    character: the unit generator acting as a primitive root mod 7 swaps
+    those classes and no longer maps the rows onto the rows, and the
+    per-unit reference fails as well."""
+    _, table, ct = tables("psl2(7)")
+    sizes = np.array(table.sizes, dtype=np.int64)
+    inv_class = [int(pw[-1]) for pw in ct.power]
+    a, b = [j for j, c in enumerate(table.classes) if c.order == 7]
+    r = next(r for r, row in enumerate(ct.values) if row[a] != row[b])
+    values = [list(row) for row in ct.values]
+    values[r][a], values[r][b] = values[r][b], values[r][a]
+    mod_values = ct.mod_values.copy()
+    mod_values[r, [a, b]] = mod_values[r, [b, a]]
+    swapped = dataclasses.replace(ct, values=values, mod_values=mod_values)
+    with pytest.raises(ConsistencyError, match="does not permute the rows"):
+        _verify_exact_orthogonality(swapped, sizes, inv_class, table.group.order)
+    with pytest.raises(ConsistencyError, match="exact row orthogonality"):
+        _reference_exact_orthogonality(swapped, sizes, table.group.order)
+
+
+def test_character_values_cannot_be_edited_in_place(tables):
+    """The Galois table is cached on first use, so the values it was read
+    from are immutable: an in-place cell edit raises instead of leaving the
+    cache stale."""
+    _, _, ct = tables("alt(5)")
+    counts = [ct.fixed_count(k) for k in (1, 7, 11)]
+    with pytest.raises(TypeError):
+        ct.values[1][1] = ct.values[1][1].galois(7)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ct.values = ()
+    assert [ct.fixed_count(k) for k in (1, 7, 11)] == counts
 
 
 def test_brauer_cross_check_rejects_a_wrong_power_map(tables):

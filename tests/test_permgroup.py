@@ -523,10 +523,11 @@ def test_galois_fixed_class_count_brute(keyed_table):
             continue
         e_p = p_part(e, p)
         e_pp = e // e_p
-        # oracle: classes fixed by every unit k = 1 mod the p'-part
+        # oracle: classes fixed by every unit k = 1 mod the p'-part, each
+        # power map read from the powers of the representatives
         fixed = 0
-        for i in range(len(table)):
-            if all(power_class_map(table, k)[i] == i
+        for i, c in enumerate(table.classes):
+            if all(table.classes_of(perm_power(c.rep, k)[None])[0] == i
                    for k in range(1, e + 1)
                    if gcd(k, e) == 1 and k % e_pp == 1):
                 fixed += 1
