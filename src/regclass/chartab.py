@@ -490,7 +490,7 @@ def character_table(group: PermGroup, table: ClassTable) -> CharacterTable:
     result = CharacterTable(table=table, degrees=degrees, values=values,
                             exponent=e, modular_prime=P, mod_values=mod_values,
                             power=power)
-    _verify_exact_orthogonality(result, sizes, inv_class, n)
+    _verify_exact_orthogonality(result)
     return result
 
 
@@ -502,7 +502,7 @@ def _check_mod_orthogonality(chi: np.ndarray, sizes, inv_class, n, P):
         raise ConsistencyError("mod-P row orthogonality failed")
 
 
-def _verify_exact_orthogonality(ct: CharacterTable, sizes, inv_class, n):
+def _verify_exact_orthogonality(ct: CharacterTable):
     """Exact row and column orthogonality over the cyclotomic integers.
 
     Each inner product B equals its rational constant c iff B - c vanishes
@@ -520,6 +520,8 @@ def _verify_exact_orthogonality(ct: CharacterTable, sizes, inv_class, n):
     matrix at z^k is the one at z with its rows and columns permuted, and
     the column Gram matrix is the one at z."""
     e = ct.exponent
+    n = ct.table.group.order
+    sizes = np.array(ct.table.sizes, dtype=np.int64)
     rows = sorted(map(tuple, ct.mod_values.tolist()))
     for k in _congruence_subgroup_generators(e, 1):
         mapped = ct.mod_values[:, power_class_map(ct.table, k)]
@@ -780,7 +782,7 @@ def load_character_table(table: ClassTable, path) -> CharacterTable:
     ct = CharacterTable(table=table, degrees=degrees, values=values,
                         exponent=e, modular_prime=P, mod_values=mod_values,
                         power=power)
-    _verify_exact_orthogonality(ct, sizes, inv_class, n)
+    _verify_exact_orthogonality(ct)
     # equal values may be written with other multiplicities; only the
     # eigenvalue multiplicities, which the lift recovers, are valid
     if _lift(mod_values, degrees, power, e, P) != values:

@@ -585,42 +585,37 @@ def verify_lemma72() -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 def quotient_pairs():
-    """Named (G, normal generators) pairs used by the monotonicity suite."""
+    """Named (label, catalog key of G, G, normal generators) quadruples used
+    by the monotonicity suite."""
     from .catalog import sl2_center
     from .permgroup import perm_from_cycles, perm_power
 
-    pairs = []
-    sym4, _ = built_entry("sym(4)")
-    pairs.append(("sym(4)/V4", sym4,
-                  [perm_from_cycles([[0, 1], [2, 3]], 4),
-                   perm_from_cycles([[0, 2], [1, 3]], 4)]))
-    pairs.append(("sym(4)/A4", sym4,
-                  [perm_from_cycles([[0, 1, 2]], 4),
-                   perm_from_cycles([[1, 2, 3]], 4)]))
-    sym3, _ = built_entry("sym(3)")
-    pairs.append(("sym(3)/A3", sym3, [perm_from_cycles([[0, 1, 2]], 3)]))
-    d12, _ = built_entry("dihedral(6)")
-    rot = d12.generators[0]
-    pairs.append(("dihedral(6)/C6", d12, [rot]))
-    pairs.append(("dihedral(6)/C3", d12, [perm_power(rot, 2)]))
-    c12, _ = built_entry("cyclic(12)")
-    r = c12.generators[0]
-    pairs.append(("cyclic(12)/C2", c12, [perm_power(r, 6)]))
-    pairs.append(("cyclic(12)/C3", c12, [perm_power(r, 4)]))
-    f42, _ = built_entry("frobenius(7,6)")
-    pairs.append(("frobenius(7,6)/C7", f42, [f42.generators[0]]))
-    for q in (3, 5, 7, 9, 11, 13):
-        g, _ = built_entry(f"sl2({q})")
-        pairs.append((f"sl2({q})/center", g, sl2_center(q)))
-    return pairs
+    rot = built_entry("dihedral(6)")[0].generators[0]
+    r = built_entry("cyclic(12)")[0].generators[0]
+    normal = [
+        ("sym(4)", "V4", [perm_from_cycles([[0, 1], [2, 3]], 4),
+                          perm_from_cycles([[0, 2], [1, 3]], 4)]),
+        ("sym(4)", "A4", [perm_from_cycles([[0, 1, 2]], 4),
+                          perm_from_cycles([[1, 2, 3]], 4)]),
+        ("sym(3)", "A3", [perm_from_cycles([[0, 1, 2]], 3)]),
+        ("dihedral(6)", "C6", [rot]),
+        ("dihedral(6)", "C3", [perm_power(rot, 2)]),
+        ("cyclic(12)", "C2", [perm_power(r, 6)]),
+        ("cyclic(12)", "C3", [perm_power(r, 4)]),
+        ("frobenius(7,6)", "C7", [built_entry("frobenius(7,6)")[0].generators[0]]),
+    ] + [(f"sl2({q})", "center", sl2_center(q)) for q in (3, 5, 7, 9, 11, 13)]
+    return [(f"{key}/{n}", key, built_entry(key)[0], gens)
+            for key, n, gens in normal]
 
 
 def verify_lemma81() -> VerificationReport:
+    """Checks k_p(G/N) <= k_p(G) and k_{p'}(G/N) <= k_{p'}(G); the table of
+    G is the memoized one of its catalog key."""
     t0 = time.monotonic()
     cases = []
-    for label, group, normal_gens in quotient_pairs():
+    for label, key, group, normal_gens in quotient_pairs():
         quo = quotient_group(group, normal_gens, name=label)
-        tg = conjugacy_classes(group)
+        tg = class_table_for(key)
         tq = conjugacy_classes(quo)
         for p in factorize(group.order).primes():
             cg = class_counts(tg, p)

@@ -10,7 +10,9 @@ is stored once, as arrays that the rank index reads too), a rank index on the
 chain that numbers the elements 0..|G|-1, conjugacy classes labelled over
 those ranks by array operations (a class table is one class id per rank),
 p-part decomposition, class counts, power maps on classes, the Galois
-fixed-class count, and quotient groups by coset action.
+fixed-class count, and quotient groups by coset action (a coset xN is named
+by its canonical member, the one with the least base images on N's chain,
+and the cosets are enumerated in batches of rows).
 """
 
 from dataclasses import dataclass
@@ -155,7 +157,10 @@ class StabilizerChain:
     t_{s(x)}^-1 o s o t_x in batches of rows through the deeper levels, then
     registers the non-identity residues one by one in (sorted x, generator)
     order, which gives the same chain as sifting them one at a time: the
-    deeper transversals do not change while a level is closed."""
+    deeper transversals do not change while a level is closed.  A level is
+    not sifted again while its generators and the arrays of it and every
+    deeper level are those of its last sift, which would give the same
+    residues, all of them registered already."""
 
     def __init__(self, generators, degree: int):
         self.degree = degree
@@ -165,6 +170,9 @@ class StabilizerChain:
         self.levels: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         # number of strong generators each level's arrays were built from
         self._built_from: list[int] = []
+        # per level, (generator count, _built_from of it and deeper levels)
+        # at its last sift
+        self._sifted: list[tuple | None] = []
         for g in generators:
             if not is_identity(g):
                 self._register(g, 0)
@@ -216,6 +224,7 @@ class StabilizerChain:
             self.level_gens.append([])
             self.levels.append(self._transversal(b, []))
             self._built_from.append(0)
+            self._sifted.append(None)
         self.level_gens[at].append(g.copy())
         return True
 
@@ -274,8 +283,11 @@ class StabilizerChain:
 
     def _close_level(self, level: int) -> bool:
         """Rebuild the orbit at `level` if its generators grew, and sift all
-        Schreier generators.  Returns True if anything changed."""
+        Schreier generators unless nothing changed since the last sift.
+        Returns True if anything changed."""
         gens = self._gens_from(level)
+        if (len(gens), tuple(self._built_from[level:])) == self._sifted[level]:
+            return False
         changed = False
         if len(gens) != self._built_from[level]:
             size = len(self.levels[level][1])
@@ -300,7 +312,22 @@ class StabilizerChain:
             self._sift_rows(residues, level + 1, depth)
             for k in np.flatnonzero((residues != identity).any(axis=1)).tolist():
                 changed |= self._register(residues[k], level + 1)
+        self._sifted[level] = (len(gens), tuple(self._built_from[level:]))
         return changed
+
+    def coset_canonical(self, rows: np.ndarray) -> np.ndarray:
+        """For each row x, the member of the left coset xN (N this chain's
+        group) with the least base images in base order.  At each level x
+        becomes x o t_y for the orbit point y with the least image x[y];
+        base images determine an element of xN, so the result names the
+        coset (Seress, Permutation Group Algorithms, ch. 4)."""
+        rows = np.asarray(rows)
+        every = np.arange(len(rows))
+        for position, forward, _ in self.levels:
+            orbit = np.flatnonzero(position >= 0)
+            least = orbit[np.argmin(rows[:, orbit], axis=1)]
+            rows = _gather_rows(rows, every, forward[position[least]])
+        return rows
 
     @property
     def order(self) -> int:
@@ -724,8 +751,12 @@ def quotient_group(group: PermGroup, normal_gens, name: str | None = None,
     """The quotient G/N as a faithful permutation group on the cosets of N.
 
     Normality is verified exhaustively on generators; a failing conjugate is
-    reported as a witness.  Cosets are identified by exact membership tests
-    (left cosets gN, identified via r^-1 x in N)."""
+    reported as a witness.  A left coset xN is named by its canonical member
+    (`StabilizerChain.coset_canonical` on N's chain), so telling cosets
+    apart is one dict lookup.  The cosets are found breadth first: each
+    frontier's candidates g o r, for every coset representative r and every
+    generator g in that order, are built and made canonical in batches of
+    rows, and new cosets are numbered in that order."""
     n_group = PermGroup(group.degree, normal_gens, name="N")
     for ng in n_group.generators:
         for g in group.generators:
@@ -738,41 +769,35 @@ def quotient_group(group: PermGroup, normal_gens, name: str | None = None,
     if index > index_cap:
         raise ResourceLimitError(f"index {index} exceeds coset cap {index_cap}")
 
-    # fingerprint of a coset gN: the N-orbit label of g^-1(y) for each point
-    # y, invariant on gN since N preserves its orbits; it determines the
-    # image g(O) of each N-orbit O
-    labels = orbit_labels(n_group.generators, group.degree)
-
-    def fingerprint(g):
-        return labels[inverse(g)].tobytes()
-
-    reps = [group.identity()]
-    rep_invs = [group.identity()]
-    buckets = {fingerprint(reps[0]): [0]}
-
-    def coset_id(x):
-        fp = fingerprint(x)
-        for i in buckets.get(fp, ()):
-            if n_group.contains(compose(rep_invs[i], x)):
-                return i
-        i = len(reps)
-        reps.append(x)
-        rep_invs.append(inverse(x))
-        buckets.setdefault(fp, []).append(i)
-        return i
-
-    # worklist enumeration of cosets, recording the generator actions
-    actions: list[list[int]] = [[] for _ in group.generators]
-    i = 0
-    while i < len(reps):
-        for gi, g in enumerate(group.generators):
-            actions[gi].append(coset_id(compose(g, reps[i])))
-        i += 1
-    if len(reps) != index:
+    chain = n_group.chain
+    degree = group.degree
+    stacked = np.array(group.generators, dtype=perm_dtype(degree)).reshape(-1, degree)
+    row_key = np.dtype((np.void, degree * stacked.itemsize))
+    frontier = chain.coset_canonical(group.identity()[None])
+    coset_of = {frontier.tobytes(): 0}
+    images = []  # coset of g o r, in (representative, generator) order
+    step = max(1, BATCH // degree)
+    while len(frontier):
+        fresh = [frontier[:0]]
+        pairs = len(frontier) * len(stacked)
+        for lo in range(0, pairs, step):
+            r, s = np.divmod(np.arange(lo, min(lo + step, pairs)), len(stacked))
+            canonical = chain.coset_canonical(_gather_rows(stacked, s, frontier[r]))
+            new = []
+            for k, key in enumerate(canonical.view(row_key).ravel().tolist()):
+                i = coset_of.get(key)
+                if i is None:
+                    i = coset_of[key] = len(coset_of)
+                    new.append(k)
+                images.append(i)
+            fresh.append(canonical[new])
+        frontier = np.concatenate(fresh)
+    found = len(coset_of)
+    if found != index:
         raise ConsistencyError(
-            f"coset enumeration found {len(reps)} cosets, expected {index}")
-    images = actions
-    quotient = PermGroup(index, images, name=name or f"{group.name}/N")
+            f"coset enumeration found {found} cosets, expected {index}")
+    actions = np.array(images, dtype=np.int64).reshape(index, len(stacked)).T
+    quotient = PermGroup(index, actions, name=name or f"{group.name}/N")
     if quotient.order != index:
         raise ConsistencyError("quotient action is not faithful of full size")
     return quotient

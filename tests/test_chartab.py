@@ -296,8 +296,7 @@ def test_lift_and_galois_table_match_scalar_references(key):
     ct = harness.character_table_for(key)
     assert ct.values == _reference_lift(ct)
     sizes = np.array(table.sizes, dtype=np.int64)
-    inv_class = [int(pw[-1]) for pw in ct.power]
-    _verify_exact_orthogonality(ct, sizes, inv_class, group.order)
+    _verify_exact_orthogonality(ct)
     _reference_exact_orthogonality(ct, sizes, group.order)
     e = ct.exponent
     units = [k for k in range(1, max(e, 2)) if gcd(k, e) == 1]
@@ -345,9 +344,7 @@ def test_galois_fixed_table_matches_galois(case):
 
 def test_exact_orthogonality_rejects_a_galois_conjugate_cell(tables):
     _, table, ct = tables("alt(5)")
-    sizes = np.array(table.sizes)
-    inv_class = [int(pw[-1]) for pw in ct.power]
-    _verify_exact_orthogonality(ct, sizes, inv_class, table.group.order)
+    _verify_exact_orthogonality(ct)
     e = ct.exponent
     r, j, k = next((r, j, k) for r, row in enumerate(ct.values)
                    for j, v in enumerate(row) for k in range(2, e)
@@ -355,8 +352,7 @@ def test_exact_orthogonality_rejects_a_galois_conjugate_cell(tables):
     values = [list(row) for row in ct.values]
     values[r][j] = values[r][j].galois(k)
     with pytest.raises(ConsistencyError, match="exact row orthogonality"):
-        _verify_exact_orthogonality(dataclasses.replace(ct, values=values),
-                                    sizes, inv_class, table.group.order)
+        _verify_exact_orthogonality(dataclasses.replace(ct, values=values))
 
 
 def test_exact_orthogonality_rejects_rows_not_closed_under_galois(tables):
@@ -367,7 +363,6 @@ def test_exact_orthogonality_rejects_rows_not_closed_under_galois(tables):
     per-unit reference fails as well."""
     _, table, ct = tables("psl2(7)")
     sizes = np.array(table.sizes, dtype=np.int64)
-    inv_class = [int(pw[-1]) for pw in ct.power]
     a, b = [j for j, c in enumerate(table.classes) if c.order == 7]
     r = next(r for r, row in enumerate(ct.values) if row[a] != row[b])
     values = [list(row) for row in ct.values]
@@ -376,7 +371,7 @@ def test_exact_orthogonality_rejects_rows_not_closed_under_galois(tables):
     mod_values[r, [a, b]] = mod_values[r, [b, a]]
     swapped = dataclasses.replace(ct, values=values, mod_values=mod_values)
     with pytest.raises(ConsistencyError, match="does not permute the rows"):
-        _verify_exact_orthogonality(swapped, sizes, inv_class, table.group.order)
+        _verify_exact_orthogonality(swapped)
     with pytest.raises(ConsistencyError, match="exact row orthogonality"):
         _reference_exact_orthogonality(swapped, sizes, table.group.order)
 

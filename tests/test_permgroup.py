@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from regclass.catalog import default_catalog, entry_by_key
+from regclass.catalog import default_catalog, entry_by_key, sl2_center
 from regclass.harness import quotient_pairs
 from regclass.numtheory import factorize, p_part
 from regclass.permgroup import (ConsistencyError, PermGroup,
@@ -582,12 +582,88 @@ def _reference_quotient_images(group, normal_gens):
     return PermGroup(len(reps), actions).generators
 
 
-@pytest.mark.parametrize("name, group, normal_gens", quotient_pairs(),
-                         ids=[name for name, _, _ in quotient_pairs()])
+QUOTIENT_PAIRS = [(name, group, normal_gens)
+                  for name, _, group, normal_gens in quotient_pairs()]
+QUOTIENT_IDS = [name for name, _, _ in QUOTIENT_PAIRS]
+
+
+@pytest.mark.parametrize("name, group, normal_gens", QUOTIENT_PAIRS,
+                         ids=QUOTIENT_IDS)
 def test_quotient_matches_orbit_set_fingerprint(name, group, normal_gens):
     quotient = quotient_group(group, normal_gens)
     assert [g.tolist() for g in quotient.generators] == \
         [g.tolist() for g in _reference_quotient_images(group, normal_gens)]
+
+
+@pytest.mark.parametrize("name, group, normal_gens", QUOTIENT_PAIRS,
+                         ids=QUOTIENT_IDS)
+def test_coset_canonical_names_the_coset(name, group, normal_gens):
+    """coset_canonical(g) = coset_canonical(g o n), g^-1 o coset_canonical(g)
+    lies in N, and the result is the member of gN with the least base images
+    (N is small here, so gN is listed in full)."""
+    n_group = PermGroup(group.degree, normal_gens)
+    chain = n_group.chain
+    rng = random.Random(81)
+    gs = np.stack([group.random_element(rng) for _ in range(32)])
+    ns = np.stack([n_group.random_element(rng) for _ in range(32)])
+    canonical = chain.coset_canonical(gs)
+    assert np.array_equal(
+        chain.coset_canonical(np.stack([compose(g, n) for g, n in zip(gs, ns)])),
+        canonical)
+    members = list(n_group.elements())
+    for g, c in zip(gs, canonical):
+        assert n_group.contains(compose(inverse(g), c))
+        least = min((compose(g, n) for n in members),
+                    key=lambda x: x[chain.base].tolist())
+        assert np.array_equal(c, least)
+
+
+@pytest.mark.parametrize("q", [5, 7, 9, 11, 13])
+def test_central_quotient_of_sl2_matches_catalog_psl2(q):
+    """SL(2,q)/Z, built by coset enumeration, has the classes of the
+    catalog's PSL(2,q), built on the projective line: the multisets of
+    (element order, class size) agree."""
+    quotient = quotient_group(_group(f"sl2({q})"), sl2_center(q))
+    expected = conjugacy_classes(_group(f"psl2({q})"))
+    assert sorted((c.order, c.size) for c in conjugacy_classes(quotient).classes) \
+        == sorted((c.order, c.size) for c in expected.classes)
+
+
+class _SiftLog(StabilizerChain):
+    """A chain that logs (level, generator count, _built_from of the level
+    and the deeper ones) at the start of every sift of a level."""
+
+    def __init__(self, generators, degree):
+        self.log, self._opened = [], None
+        super().__init__(generators, degree)
+
+    def _close_level(self, level):
+        self._opened = level
+        return super()._close_level(level)
+
+    def _sift_rows(self, rows, start, stop):
+        if self._opened is not None:
+            level, self._opened = self._opened, None
+            self.log.append((level, len(self._gens_from(level)),
+                             tuple(self._built_from[level:])))
+        super()._sift_rows(rows, start, stop)
+
+
+@pytest.mark.parametrize("key", ["sym(6)", "psl2(27)", "sp4(2)", "sl2(13)",
+                                 "sl2(13)/center"])
+def test_chain_never_sifts_a_level_twice_with_one_stamp(key):
+    """A level whose generators and arrays (its own and the deeper ones) are
+    those of an earlier sift is not sifted again; the chain is unchanged."""
+    if key.endswith("/center"):
+        group = quotient_group(_group("sl2(13)"), sl2_center(13))
+    else:
+        group = _group(key)
+    logged = _SiftLog(group.generators, group.degree)
+    assert logged.log and len(set(logged.log)) == len(logged.log)
+    chain = StabilizerChain(group.generators, group.degree)
+    assert logged.base == chain.base
+    assert [[g.tolist() for g in lg] for lg in logged.level_gens] == \
+        [[g.tolist() for g in lg] for lg in chain.level_gens]
 
 
 def test_quotient_rejects_non_normal():
