@@ -6,6 +6,9 @@ outer action used for class fusion.  Outer automorphisms are always realized
 by ambient conjugation (diagonal/field/graph automorphisms as explicit
 permutations), never by abstract generator maps.
 
+There is one catalog, and every entry is below the one class-enumeration cap
+(`permgroup.CLASS_CAP`); the largest is psl2(256), of order 16,776,960.
+
 Matrix groups act projectively: points are normalized vectors (first nonzero
 coordinate 1) ordered by the integer encoding of their coordinates.
 """
@@ -434,7 +437,7 @@ def _entries():
         add("sym", [n], solvable=n <= 4)
     for n in (4, 5, 6, 7, 8, 9):
         add("alt", [n], simple=n >= 5, solvable=n == 4)
-    for q in (4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 32, 81, 128):
+    for q in (4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 32, 81, 128, 243, 256, 263):
         add("psl2", [q], simple=True)
     for q in (5, 7, 9, 11):
         add("pgl2", [q])
@@ -442,7 +445,7 @@ def _entries():
         add("pgammal2", [q])
     for q in (3, 5, 7, 9, 11, 13):
         add("sl2", [q], solvable=q == 3)
-    for q in (2, 3, 4):
+    for q in (2, 3, 4, 8):
         add("psl3_with_duality", [q], simple=True)
     add("sp4", [2])
     add("sp4", [3], simple=True)
@@ -453,24 +456,15 @@ def default_catalog() -> list[CatalogEntry]:
     return list(_entries())
 
 
-def extended_catalog() -> list[CatalogEntry]:
-    extra = [
-        CatalogEntry("psl2", (243,), simple=True),
-        CatalogEntry("psl2", (256,), simple=True),
-        CatalogEntry("psl3_with_duality", (8,), simple=True),
-    ]
-    return default_catalog() + extra
-
-
-def entry_by_key(key: str, extended: bool = True) -> CatalogEntry:
-    for e in extended_catalog() if extended else default_catalog():
+def entry_by_key(key: str) -> CatalogEntry:
+    for e in _entries():
         if e.key == key:
             return e
     raise KeyError(f"no catalog entry {key!r}")
 
 
 __all__ = [
-    "CatalogEntry", "default_catalog", "extended_catalog", "entry_by_key",
+    "CatalogEntry", "default_catalog", "entry_by_key",
     "family_order", "sl2_center", "mat_mul", "mat_inv", "mat_transpose",
     "mat_identity", "projective_points", "projective_perm",
 ]

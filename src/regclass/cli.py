@@ -8,7 +8,9 @@ Subcommands:
   chartab <entry> --p P            character table and rationality counts
 
 Exit status is 0 only when every asserted case passes; skipped cases are
-listed but do not fail the run.
+listed but do not fail the run.  An unknown entry or one outside a resource
+cap (e.g. a character table with more classes than `chartab.MAX_CLASSES`)
+exits 2 with a one-line message on stderr.
 """
 
 from __future__ import annotations
@@ -19,18 +21,17 @@ import sys
 from fractions import Fraction
 
 from . import __version__, harness, liebounds
-from .catalog import default_catalog, entry_by_key, extended_catalog
+from .catalog import default_catalog, entry_by_key
 from .chartab import character_count_report
 from .numtheory import factorize
-from .permgroup import class_counts
+from .permgroup import ResourceLimitError, class_counts
 
 
 def _cmd_catalog(args) -> int:
     if args.action != "list":
         print(f"unknown catalog action {args.action!r}", file=sys.stderr)
         return 2
-    entries = extended_catalog() if args.extended else default_catalog()
-    for e in sorted(entries, key=lambda e: (e.order, e.key)):
+    for e in sorted(default_catalog(), key=lambda e: (e.order, e.key)):
         flags = []
         if e.simple:
             flags.append("simple")
@@ -54,9 +55,7 @@ def _cmd_classes(args) -> int:
 
 def _cmd_verify(args) -> int:
     suite = harness.SUITES[args.suite]
-    if args.suite == "table1":
-        report = suite(extended=args.extended)
-    elif args.suite == "thm1":
+    if args.suite == "thm1":
         report = suite(max_order=args.max_order)
     else:
         report = suite()
@@ -111,7 +110,6 @@ def main(argv=None) -> int:
 
     p_cat = sub.add_parser("catalog", help="inspect the group catalog")
     p_cat.add_argument("action", choices=["list"])
-    p_cat.add_argument("--extended", action="store_true")
     p_cat.set_defaults(func=_cmd_catalog)
 
     p_cls = sub.add_parser("classes", help="conjugacy class table of an entry")
@@ -122,7 +120,6 @@ def main(argv=None) -> int:
 
     p_ver = sub.add_parser("verify", help="run a verification suite")
     p_ver.add_argument("suite", choices=sorted(harness.SUITES))
-    p_ver.add_argument("--extended", action="store_true")
     p_ver.add_argument("--max-order", type=int, default=20_000)
     p_ver.add_argument("--json", help="also write the JSON report here")
     p_ver.set_defaults(func=_cmd_verify)
@@ -141,7 +138,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except KeyError as exc:
+    except (KeyError, ResourceLimitError) as exc:
         print(exc.args[0] if exc.args else exc, file=sys.stderr)
         return 2
 

@@ -2,6 +2,9 @@
 
 Each suite sweeps catalog groups, computes exact class/character counts, and
 compares them against closed-form thresholds with integer arithmetic only.
+Every catalog entry is below the one class-enumeration cap, so the class
+suites (`thm1`, `thm2`, `table1`) never skip an entry; class tables are
+memoized per catalog key, so one process keeps every table it enumerated.
 Results are collected into a `VerificationReport` whose JSON form is stable
 and round-trippable.  Expected values carry a `source` field: "published"
 for numbers taken from the literature being checked, "recomputed" for values
@@ -23,13 +26,11 @@ import numpy as np
 
 from . import __version__
 from .autorbits import fuse_classes, orbit_counts
-from .catalog import CatalogEntry, default_catalog, entry_by_key, extended_catalog
+from .catalog import CatalogEntry, default_catalog, entry_by_key
 from .numtheory import EQUAL, GREATER, LESS, cmp_threshold, factorize
-from .permgroup import (DEFAULT_CLASS_CAP, EXTENDED_CLASS_CAP,
-                        ConsistencyError, PermGroup, ResourceLimitError,
-                        as_perm, check_class_cap, class_counts,
-                        conjugacy_classes, load_class_table, quotient_group,
-                        save_class_table)
+from .permgroup import (CLASS_CAP, ConsistencyError, PermGroup, as_perm,
+                        class_counts, conjugacy_classes, load_class_table,
+                        quotient_group, save_class_table)
 from . import chartab
 
 SCHEMA_VERSION = 1
@@ -38,8 +39,7 @@ CAPS = {
     "theorem1_max_order": 20_000,
     "chartab_max_classes": chartab.MAX_CLASSES,
     "chartab_max_order": chartab.MAX_ORDER,
-    "class_enumeration_cap": DEFAULT_CLASS_CAP,
-    "class_enumeration_cap_extended": EXTENDED_CLASS_CAP,
+    "class_enumeration_cap": CLASS_CAP,
 }
 
 
@@ -158,7 +158,8 @@ def _load_cached(path: str, load):
 
 
 @lru_cache(maxsize=None)
-def _class_table(key: str):
+def class_table_for(key: str):
+    """The class table of a catalog entry, memoized per key."""
     group, _ = built_entry(key)
     d = cache_dir()
     if d:
@@ -166,23 +167,11 @@ def _class_table(key: str):
         table = _load_cached(path, lambda p: load_class_table(group, p))
         if table is not None:
             return table
-    # the caller's cap was checked by class_table_for
-    table = conjugacy_classes(group, cap=group.order)
+    table = conjugacy_classes(group)
     if d:
         os.makedirs(d, exist_ok=True)
         save_class_table(table, path)
     return table
-
-
-def class_table_for(key: str, cap: int = DEFAULT_CLASS_CAP):
-    """The class table of a catalog entry, memoized per key.  The cap only
-    gates the call: every cap shares the one table of its key."""
-    group, _ = built_entry(key)
-    check_class_cap(group.order, cap)
-    return _class_table(key)
-
-
-class_table_for.cache_clear = _class_table.cache_clear
 
 
 @lru_cache(maxsize=None)
@@ -202,10 +191,10 @@ def character_table_for(key: str):
 
 
 @lru_cache(maxsize=None)
-def fused_partition(key: str, cap: int = DEFAULT_CLASS_CAP):
+def fused_partition(key: str):
     """Orbit partition of the class table under the entry's outer action."""
     group, conjs = built_entry(key)
-    table = class_table_for(key, cap)
+    table = class_table_for(key)
     return fuse_classes(table, group, conjs)
 
 
@@ -251,13 +240,7 @@ def verify_theorem1(max_order: int = 20_000, entries=None) -> VerificationReport
             p, d = e.params
             if d * d == p - 1:
                 expected_equal.append((e.key, p))
-        try:
-            table = class_table_for(e.key)
-        except ResourceLimitError as exc:
-            cases.append(CaseRecord(
-                id=f"thm1:{e.key}", group=e.key, p=None, computed={},
-                expected=None, verdict="skip", note=str(exc)))
-            continue
+        table = class_table_for(e.key)
         for p in factorize(e.order).primes():
             cc = class_counts(table, p)
             total = cc.k_p + cc.k_p_prime
@@ -296,13 +279,7 @@ def verify_theorem2(entries=None) -> VerificationReport:
     for e in _sorted_entries(entries):
         if e.solvable:
             continue
-        try:
-            table = class_table_for(e.key)
-        except ResourceLimitError as exc:
-            cases.append(CaseRecord(
-                id=f"thm2:{e.key}", group=e.key, p=None, computed={},
-                expected=None, verdict="skip", note=str(exc)))
-            continue
+        table = class_table_for(e.key)
         for p in factorize(e.order).primes():
             kpp = class_counts(table, p).k_p_prime
             floor_ok = kpp * kpp > p - 1
@@ -337,11 +314,7 @@ def verify_theorem3(entries=None) -> VerificationReport:
     t0 = time.monotonic()
     cases: list[CaseRecord] = []
     for e in _sorted_entries(entries):
-        try:
-            feasible = chartab_feasible(e)
-        except ResourceLimitError:
-            feasible = False
-        if not feasible:
+        if not chartab_feasible(e):
             cases.append(CaseRecord(
                 id=f"thm3:{e.key}", group=e.key, p=None, computed={},
                 expected=None, verdict="skip",
@@ -393,7 +366,7 @@ def verify_theorem3(entries=None) -> VerificationReport:
 # exception table reproduction: n(Aut(S), Cl_{p'}(S)) for the listed (S, p)
 # ---------------------------------------------------------------------------
 
-# rows computable in default mode: (record label, catalog key, p, published n)
+# every published row: (record label, catalog key, p, published n)
 TABLE1_DEFAULT_ROWS = (
     ("A5", "alt(5)", 5, 3),
     ("PSL2(7)", "psl2(7)", 7, 4),
@@ -405,10 +378,6 @@ TABLE1_DEFAULT_ROWS = (
     ("PSL2(32)", "psl2(32)", 11, 6),
     ("PSL2(32)", "psl2(32)", 31, 6),
     ("PSL2(81)", "psl2(81)", 41, 10),
-)
-
-# rows gated behind extended mode (multi-million element enumerations)
-TABLE1_EXTENDED_ROWS = (
     ("PSL2(128)", "psl2(128)", 43, 12),
     ("PSL2(128)", "psl2(128)", 127, 12),
     ("PSL2(243)", "psl2(243)", 61, 15),
@@ -416,37 +385,18 @@ TABLE1_EXTENDED_ROWS = (
     ("PSL3(8)", "psl3_with_duality(8)", 73, 13),
 )
 
-_EXTENDED_GROUPS = ("PSL2(128)", "PSL2(243)", "PSL2(256)", "PSL3(8)")
 
-
-def verify_table1(extended: bool = False) -> VerificationReport:
+def verify_table1() -> VerificationReport:
     t0 = time.monotonic()
     cases: list[CaseRecord] = []
-
-    def run_row(label, key, p, expect):
-        if extended:
-            table = class_table_for(key, EXTENDED_CLASS_CAP)
-            part = fused_partition(key, EXTENDED_CLASS_CAP)
-        else:
-            table = class_table_for(key)
-            part = fused_partition(key)
-        n = orbit_counts(part, table, p).n_pregular
+    for label, key, p, expect in TABLE1_DEFAULT_ROWS:
+        n = orbit_counts(fused_partition(key), class_table_for(key),
+                         p).n_pregular
         cases.append(CaseRecord(
             id=f"table1:{label}:p={p}", group=label, p=p,
             computed={"n_aut_pregular": n},
             expected={"value": expect, "source": "published"},
             verdict="pass" if n == expect else "fail"))
-
-    for label, key, p, expect in TABLE1_DEFAULT_ROWS:
-        run_row(label, key, p, expect)
-    if extended:
-        for label, key, p, expect in TABLE1_EXTENDED_ROWS:
-            run_row(label, key, p, expect)
-    else:
-        for label in _EXTENDED_GROUPS:
-            cases.append(CaseRecord(
-                id=f"table1:{label}", group=label, p=None, computed={},
-                expected=None, verdict="skip", note="requires extended mode"))
     return _report("table1", cases, t0)
 
 
@@ -647,6 +597,6 @@ __all__ = [
     "chartab_feasible", "verify_theorem1", "verify_theorem2", "verify_theorem3",
     "verify_table1", "verify_lemma72", "verify_lemma81", "check_module_bound",
     "module_bound_fixtures", "quotient_pairs", "is_sharp_frobenius",
-    "TABLE1_DEFAULT_ROWS", "TABLE1_EXTENDED_ROWS", "SUITES", "SCHEMA_VERSION",
+    "TABLE1_DEFAULT_ROWS", "SUITES", "SCHEMA_VERSION",
     "CAPS", "cache_dir",
 ]

@@ -23,8 +23,7 @@ import numpy as np
 
 from .numtheory import p_part
 
-DEFAULT_CLASS_CAP = 3_000_000
-EXTENDED_CLASS_CAP = 20_000_000
+CLASS_CAP = 20_000_000  # above every catalog entry; psl2(256) is 16,776,960
 CHUNK = 1 << 14  # elements per batch in rank-index sweeps
 BATCH = 1 << 16  # entries (rows x degree) per batch of chain-build rows
 
@@ -376,15 +375,33 @@ class RankIndex:
 
     def images(self, ranks, points) -> np.ndarray:
         """len(ranks) x len(points): the image of each point under the
-        element of each rank."""
+        element of each rank.  Ranks that agree from level i up share the
+        images under t_i o ... o t_{L-1}, so each level composes one row per
+        run of equal rank prefixes (few runs above level 0 for sorted ranks;
+        any order gives the same images)."""
         if len(points) > self.degree:  # whole elements gather less
             return self.unrank(ranks)[:, points]
-        ranks = np.asarray(ranks, dtype=np.int64)
+        prefix = np.asarray(ranks, dtype=np.int64)
+        digits = []
+        for _, forward, _, _ in self.levels:
+            high = prefix // len(forward)
+            run = np.ones(len(high), dtype=bool)
+            np.not_equal(high[1:], high[:-1], out=run[1:])
+            digits.append((forward, prefix % len(forward), np.cumsum(run) - 1))
+            prefix = high[run]
         out = np.broadcast_to(np.asarray(points, dtype=perm_dtype(self.degree)),
-                              (len(ranks), len(points)))
-        for _, forward, _, radix in reversed(self.levels):
-            out = _gather_rows(forward, ranks // radix % len(forward), out)
-        return np.array(out)
+                              (len(prefix), len(points)))
+        for forward, digit, at in reversed(digits):
+            out = _gather_rows(forward, digit, out[at])
+        return np.ascontiguousarray(out)  # a copy only for the trivial group
+
+    def point_images(self, point: int) -> np.ndarray:
+        """The image of one point under every element, in rank order: each
+        level, from the top, extends the images by one mixed-radix digit."""
+        out = np.array([point], dtype=perm_dtype(self.degree))
+        for _, forward, _, _ in reversed(self.levels):
+            out = forward[:, out].T.ravel()
+        return out
 
     def unrank(self, ranks) -> np.ndarray:
         return self.images(ranks, np.arange(self.degree))
@@ -394,16 +411,18 @@ class RankIndex:
         -1 where an image leaves its orbit.  Only rows that come from group
         elements are ranked correctly: `sift` checks arbitrary permutations."""
         images = np.array(base_images, dtype=perm_dtype(self.degree))
-        ranks = np.zeros(len(images), dtype=np.int64)
+        ranks = np.zeros(len(images), dtype=np.int32)  # the order is < 2^31
         outside = np.zeros(len(images), dtype=bool)
         for i, (position, _, inv, radix) in enumerate(self.levels):
             pos = position[images[:, i]]
-            outside |= pos < 0
-            pos[pos < 0] = 0
+            missing = pos < 0
+            outside |= missing
+            pos[missing] = 0
             ranks += pos * radix
-            images[:, i + 1:] = _gather_rows(inv, pos, images[:, i + 1:])
+            if i + 1 < len(self.levels):
+                images[:, i + 1:] = _gather_rows(inv, pos, images[:, i + 1:])
         ranks[outside] = -1
-        return ranks.astype(np.int32)
+        return ranks
 
     def sift_one(self, perm: np.ndarray) -> int:
         """Rank of one permutation, -1 if it is outside the group: strip it
@@ -574,20 +593,36 @@ def check_class_cap(order: int, cap: int) -> None:
 def orbit_labels(actions, n: int) -> np.ndarray:
     """Least point of the orbit of each of 0..n-1 under the given int arrays
     (maps of 0..n-1 into itself).  A label is always a point of the same
-    orbit and never above its own point.  Each round hooks the labels of the
-    labels of x and act[x] to the smaller of the two, then jumps pointers
-    (labels[labels]) to a fixpoint, until every map preserves the labels."""
+    orbit and never above its own point.  Each round hooks labels along every
+    map that does not preserve them (`_hook`), then jumps pointers
+    (labels[labels]) to a fixpoint; a round in which every map preserves the
+    labels ends it."""
     labels = np.arange(n, dtype=np.int32)
     while True:
-        for act in actions:
-            ahead = labels[act]
-            least = np.minimum(labels, ahead)
-            np.minimum.at(labels, labels.copy(), least)
-            np.minimum.at(labels, ahead, least)
+        hooked = [_hook(labels, act) for act in actions]
+        if not any(hooked):
+            return labels
         while not np.array_equal(jumped := labels[labels], labels):
             labels = jumped
-        if all(np.array_equal(labels, labels[act]) for act in actions):
-            return labels
+
+
+def _hook(labels: np.ndarray, act: np.ndarray) -> bool:
+    """Hook the larger of labels[x] and labels[act[x]] to the smaller, in
+    place, for x in slices of CHUNK << 6 points (the smaller one's own label
+    is never above it, so hooking it too would change nothing); False if act
+    preserves the labels.  Each pair it hooks lies in one orbit, so labels
+    stay in their orbits however the slices see each other's hooks."""
+    step = CHUNK << 6
+    hooked = False
+    for lo in range(0, len(labels), step):
+        here = labels[lo:lo + step]
+        ahead = labels[act[lo:lo + step]]
+        if np.array_equal(ahead, here):
+            continue
+        hooked = True
+        least = np.minimum(here, ahead)
+        np.minimum.at(labels, np.maximum(here, ahead, out=ahead), least)
+    return hooked
 
 
 def _conjugation_actions(index: RankIndex, generators) -> list[np.ndarray]:
@@ -618,9 +653,9 @@ def _lex_least(index: RankIndex, class_id: np.ndarray, k: int) -> np.ndarray:
     for point in range(index.degree):
         if len(cand) == k:
             break
-        image = np.concatenate([index.images(cand[i:i + CHUNK], [point])[:, 0]
-                                for i in range(0, len(cand), CHUNK)])
-        least = np.full(k, index.degree, dtype=np.int32)
+        image = index.point_images(point)[cand]
+        # one dtype for both: ufunc.at has no fast path for a mixed pair
+        least = np.full(k, np.iinfo(image.dtype).max, dtype=image.dtype)
         np.minimum.at(least, class_id[cand], image)
         cand = cand[image == least[class_id[cand]]]
     if len(cand) != k:
@@ -656,7 +691,7 @@ def _classify(group: PermGroup) -> ClassTable:
     return ClassTable(group, classes, remap[found_id])
 
 
-def conjugacy_classes(group: PermGroup, cap: int = DEFAULT_CLASS_CAP) -> ClassTable:
+def conjugacy_classes(group: PermGroup, cap: int = CLASS_CAP) -> ClassTable:
     """Enumerate the conjugacy classes of `group` on its rank index."""
     check_class_cap(group.order, cap)
     return _classify(group)
@@ -894,5 +929,5 @@ __all__ = [
     "orbit_labels", "p_part_split", "class_counts",
     "power_class_map", "galois_fixed_class_count", "quotient_group",
     "burnside_class_count", "save_class_table", "load_class_table",
-    "DEFAULT_CLASS_CAP", "EXTENDED_CLASS_CAP", "CHUNK",
+    "CLASS_CAP", "CHUNK",
 ]

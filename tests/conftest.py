@@ -1,15 +1,6 @@
-import os
-
-import pytest
 from hypothesis import HealthCheck, settings
 
 settings.register_profile(
     "default", deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 settings.load_profile("default")
-
-EXTENDED = bool(os.environ.get("REGCLASS_EXTENDED"))
-
-requires_extended = pytest.mark.skipif(
-    not EXTENDED, reason="set REGCLASS_EXTENDED=1 to run multi-million "
-    "element enumerations")

@@ -5,7 +5,6 @@ asserting the published value is marked strict-xfail and a companion test
 freezes the recomputed value.
 """
 
-import os
 import random
 import time
 from fractions import Fraction
@@ -26,10 +25,6 @@ from regclass.gf import make_field
 from regclass.permgroup import (burnside_class_count, class_counts, compose,
                                 p_part_split, perm_order)
 from regclass.numtheory import p_part
-
-EXTENDED = bool(os.environ.get("REGCLASS_EXTENDED"))
-requires_extended = pytest.mark.skipif(
-    not EXTENDED, reason="set REGCLASS_EXTENDED=1 to run extended rows")
 
 FROBENIUS_EQUALITY_CASES = [["frobenius(101,10)", 101], ["frobenius(17,4)", 17],
                             ["frobenius(37,6)", 37], ["frobenius(5,2)", 5]]
@@ -97,35 +92,10 @@ def test_exception_table_default_rows(table1_report):
         ("A5", 5): 3, ("PSL2(7)", 7): 4, ("A6", 5): 4, ("PSL2(8)", 7): 4,
         ("PSL2(11)", 11): 6, ("PSL2(16)", 17): 5, ("PSL2(27)", 13): 5,
         ("PSL2(32)", 11): 6, ("PSL2(32)", 31): 6, ("PSL2(81)", 41): 10,
+        ("PSL2(128)", 43): 12, ("PSL2(128)", 127): 12, ("PSL2(243)", 61): 15,
+        ("PSL2(256)", 257): 21, ("PSL3(8)", 73): 13,
     }
-    assert rep.summary["skip"] == 4
-
-
-@pytest.fixture(scope="module")
-def extended_table1_report():
-    return verify_table1(extended=True)
-
-
-@requires_extended
-def test_exception_table_extended_rows(extended_table1_report):
-    rep = extended_table1_report
-    assert rep.passed
-    values = {(c.group, c.p): c.computed["n_aut_pregular"]
-              for c in rep.cases}
-    assert values[("PSL2(128)", 43)] == 12
-    assert values[("PSL2(128)", 127)] == 12
-    assert values[("PSL2(243)", 61)] == 15
-    assert values[("PSL2(256)", 257)] == 21
-    assert values[("PSL3(8)", 73)] == 13
-
-
-@requires_extended
-@pytest.mark.xfail(
-    strict=False,
-    reason="a single shared core needs ~an hour for the extended rows; "
-    "the 30-minute budget assumes a dedicated modern core")
-def test_exception_table_extended_runtime(extended_table1_report):
-    assert extended_table1_report.duration_ms < 1_800_000
+    assert rep.summary["skip"] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +218,7 @@ def test_orthogonal_unipotent_recomputed_value():
 
 def test_rank_power_bound_on_psl2():
     for e in default_catalog():
-        if e.family != "psl2" or e.params[0] > 128:
+        if e.family != "psl2":
             continue
         q = e.params[0]
         table = class_table_for(e.key)

@@ -7,9 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from regclass import gf
-from regclass.catalog import (default_catalog, entry_by_key, extended_catalog,
-                              family_order, mat_identity, mat_inv, mat_mul,
-                              mat_transpose, projective_points, sl2_center)
+from regclass.catalog import (default_catalog, entry_by_key, family_order,
+                              mat_identity, mat_inv, mat_mul, mat_transpose,
+                              projective_points, sl2_center)
 from regclass.permgroup import compose, conjugate, inverse, is_identity
 
 SMALL_ORDER = 30_000
@@ -20,7 +20,8 @@ def test_catalog_size_and_uniqueness():
     assert len(entries) >= 60
     keys = [e.key for e in entries]
     assert len(keys) == len(set(keys))
-    assert set(e.key for e in extended_catalog()) > set(keys)
+    # one catalog: the largest groups are ordinary entries
+    assert {"psl2(243)", "psl2(256)", "psl3_with_duality(8)"} <= set(keys)
 
 
 @pytest.mark.parametrize(
@@ -49,9 +50,6 @@ def test_family_order_values():
 def test_entry_by_key_errors():
     with pytest.raises(KeyError):
         entry_by_key("psl2(6)")
-    # extended entries invisible in default-only lookup
-    with pytest.raises(KeyError):
-        entry_by_key("psl2(243)", extended=False)
     assert entry_by_key("psl2(243)").order == 243 * (243**2 - 1) // 2
 
 

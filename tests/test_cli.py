@@ -2,6 +2,7 @@
 
 import pytest
 
+from regclass.chartab import MAX_CLASSES
 from regclass.cli import main
 
 
@@ -24,3 +25,12 @@ def test_chartab_reports_one_prime_or_all(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert [ln.split(":")[0].strip() for ln in lines[1:]] == [
         "p=  2", "p=  3", "p=  5"]
+
+
+def test_chartab_outside_the_class_cap_exits_2(capsys):
+    """psl2(128) has 129 classes, above the character-table cap: the refusal
+    is one line on stderr and exit status 2, not a traceback."""
+    assert main(["chartab", "psl2(128)"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"129 classes exceeds cap {MAX_CLASSES}\n"

@@ -11,11 +11,12 @@ from regclass.harness import (CAPS, SCHEMA_VERSION, CaseRecord,
                               chartab_feasible, emit_report,
                               is_sharp_frobenius, module_bound_fixtures,
                               parse_report, quotient_pairs, verify_lemma72,
-                              verify_lemma81, verify_table1)
+                              verify_lemma81, verify_table1, verify_theorem2)
 from regclass import chartab, harness
 from regclass.harness import _cyclic_perm_group, class_table_for
-from regclass.catalog import entry_by_key
-from regclass.permgroup import class_counts, conjugacy_classes
+from regclass.catalog import default_catalog, entry_by_key
+from regclass.numtheory import GREATER
+from regclass.permgroup import CLASS_CAP, class_counts, conjugacy_classes
 
 
 # ---------------------------------------------------------------------------
@@ -136,14 +137,31 @@ def test_verify_lemma81_suite():
 def test_verify_table1_default_shape():
     rep = verify_table1()
     assert rep.passed
-    assert len(rep.cases) == 14
-    assert rep.summary == {"pass": 10, "fail": 0, "skip": 4}
-    skipped = [c.group for c in rep.cases if c.verdict == "skip"]
-    assert skipped == ["PSL2(128)", "PSL2(243)", "PSL2(256)", "PSL3(8)"]
+    assert len(rep.cases) == 15
+    assert rep.summary == {"pass": 15, "fail": 0, "skip": 0}
     by_id = {(c.group, c.p): c.computed["n_aut_pregular"]
              for c in rep.cases if c.verdict == "pass"}
     assert by_id[("A6", 5)] == 4
     assert by_id[("PSL2(81)", 41)] == 10
+
+
+def test_theorem2_strong_clause_on_psl2_263():
+    """psl2(263) is the first entry with a prime above 257, so the stronger
+    k_p' > 2 sqrt(p-1) clause is checked, not recorded as vacuous."""
+    rep = verify_theorem2(entries=[entry_by_key("psl2(263)")])
+    assert rep.passed and rep.summary["skip"] == 0
+    cases = {c.id: c for c in rep.cases}
+    assert "thm2:p-above-257" not in cases
+    deep = cases["thm2:psl2(263):p=263"]
+    assert deep.verdict == "pass"
+    assert deep.computed["k_p_prime"] == 132
+    assert deep.computed["strong_cmp"] == GREATER
+
+
+def test_one_class_cap_covers_the_catalog():
+    assert CAPS["class_enumeration_cap"] == CLASS_CAP == 20_000_000
+    assert "class_enumeration_cap_extended" not in CAPS
+    assert max(e.order for e in default_catalog()) == 16_776_960 <= CLASS_CAP
 
 
 def test_chartab_feasible():

@@ -14,12 +14,14 @@ from hypothesis import strategies as st
 from regclass.catalog import default_catalog, entry_by_key, sl2_center
 from regclass.harness import quotient_pairs
 from regclass.numtheory import factorize, p_part
+from regclass import permgroup
 from regclass.permgroup import (ConsistencyError, PermGroup,
                                 ResourceLimitError, StabilizerChain, as_perm,
                                 burnside_class_count, class_counts,
                                 compose, conjugacy_classes, conjugate,
                                 galois_fixed_class_count, identity_perm,
                                 inverse, is_identity, load_class_table,
+                                orbit_labels,
                                 perm_from_cycles, perm_order, perm_power,
                                 power_class_map, p_part_split,
                                 quotient_group, save_class_table)
@@ -162,11 +164,13 @@ def _group(key):
 class _ReferenceChain:
     """Deterministic Schreier-Sims one permutation at a time: dict
     transversals grown breadth-first, every Schreier generator stripped on its
-    own, all levels closed again until nothing changes."""
+    own, all levels closed again until nothing changes.  Each transversal
+    element's inverse is computed once, when its transversal is built."""
 
     def __init__(self, generators, degree):
         self.degree = degree
         self.base, self.level_gens, self.transversals = [], [], []
+        self.inverses = []
         self.keys = set()
         for g in generators:
             if not is_identity(g):
@@ -178,11 +182,11 @@ class _ReferenceChain:
                 changed |= self.close(level)
 
     def strip(self, g):
-        for b, tr in zip(self.base, self.transversals):
-            t = tr.get(int(g[b]))
+        for b, inv in zip(self.base, self.inverses):
+            t = inv.get(int(g[b]))
             if t is None:
                 break
-            g = compose(inverse(t), g)
+            g = compose(t, g)
         return g
 
     def register(self, g, level):
@@ -197,6 +201,7 @@ class _ReferenceChain:
             self.base.append(b)
             self.level_gens.append([])
             self.transversals.append({b: identity_perm(self.degree)})
+            self.inverses.append({b: identity_perm(self.degree)})
         self.level_gens[at].append(g)
         return True
 
@@ -215,10 +220,11 @@ class _ReferenceChain:
             frontier = new
         changed = len(tr) != len(self.transversals[level])
         self.transversals[level] = tr
+        inv = self.inverses[level] = {y: inverse(t) for y, t in tr.items()}
         for x in sorted(tr):
             for s in gens:
                 residue = self.strip(
-                    compose(inverse(tr[int(s[x])]), compose(s, tr[x])))
+                    compose(inv[int(s[x])], compose(s, tr[x])))
                 if not is_identity(residue):
                     changed |= self.register(residue, level + 1)
         return changed
@@ -322,6 +328,45 @@ def test_elements_follow_transversal_mixed_radix_order():
     for tr in reversed(group.chain.transversals):
         expected = [compose(tr[x], h) for h in expected for x in sorted(tr)]
     assert [g.tolist() for g in group.elements()] == [g.tolist() for g in expected]
+    # the same stream read one point at a time, and in a shuffled rank order
+    # (runs of equal rank prefixes are then short)
+    rows = np.stack(expected)
+    index = group.chain.index
+    for point in range(group.degree):
+        assert (index.point_images(point) == rows[:, point]).all()
+    shuffled = np.random.default_rng(7).permutation(group.order)
+    assert (index.unrank(shuffled) == rows[shuffled]).all()
+    assert (index.images(shuffled, [3, 0]) == rows[shuffled][:, [3, 0]]).all()
+
+
+def _reference_orbit_minima(actions, n):
+    """Least point of each component of x ~ act[x], by union-find with the
+    smaller root kept."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for act in actions:
+        for x, y in enumerate(act.tolist()):
+            rx, ry = find(x), find(y)
+            parent[max(rx, ry)] = min(rx, ry)
+    return [find(x) for x in range(n)]
+
+
+@given(st.integers(1, 300), st.integers(0, 3), st.booleans(), st.data())
+def test_orbit_labels_match_union_find(n, count, bijective, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    actions = [(rng.permutation(n) if bijective else rng.integers(0, n, n))
+               .astype(np.int32) for _ in range(count)]
+    want = _reference_orbit_minima(actions, n)
+    assert orbit_labels(actions, n).tolist() == want
+    # hooking in slices of CHUNK << 6 = 64 points reaches the same labels
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(permgroup, "CHUNK", 1)
+        assert orbit_labels(actions, n).tolist() == want
 
 
 @given(st.sampled_from([k for k in RANK_KEYS if k not in ("sym(5)", "sl2(5)")]),
