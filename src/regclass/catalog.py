@@ -452,15 +452,19 @@ def _entries():
     return out
 
 
+_CATALOG = tuple(_entries())
+_BY_KEY = {e.key: e for e in _CATALOG}
+
+
 def default_catalog() -> list[CatalogEntry]:
-    return list(_entries())
+    return list(_CATALOG)
 
 
 def entry_by_key(key: str) -> CatalogEntry:
-    for e in _entries():
-        if e.key == key:
-            return e
-    raise KeyError(f"no catalog entry {key!r}")
+    entry = _BY_KEY.get(key)
+    if entry is None:
+        raise KeyError(f"no catalog entry {key!r}")
+    return entry
 
 
 __all__ = [

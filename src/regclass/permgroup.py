@@ -4,9 +4,11 @@ Groups are given by generator permutations on {0..degree-1}.  Permutations are
 numpy arrays (uint8 for degree <= 255, else uint16); composition is fancy
 indexing, (p o q)(i) = p[q(i)], so q is applied first.
 
-Provides exact order via a deterministic stabilizer chain (Schreier-Sims with
-the Schreier generators of each level sifted as batches of rows; each level
-is stored once, as arrays that the rank index reads too), a rank index on the
+Provides exact order via a deterministic stabilizer chain (Sims'
+Schreier-Sims: levels closed deepest first, and the levels below each new
+strong generator closed again before the next Schreier generator; a level's
+Schreier generators are sifted as batches of rows, and each level is stored
+once, as arrays that the rank index reads too), a rank index on the
 chain that numbers the elements 0..|G|-1, conjugacy classes labelled over
 those ranks by array operations (a class table is one class id per rank),
 p-part decomposition, class counts, power maps on classes, the Galois
@@ -144,45 +146,55 @@ def _gather_rows(table: np.ndarray, rows, perms: np.ndarray) -> np.ndarray:
 
 
 class StabilizerChain:
-    """Base, strong generators and transversals (the deterministic
-    Schreier-Sims algorithm of Seress, Permutation Group Algorithms, ch. 4).
+    """Base, strong generators and transversals (Sims' deterministic
+    Schreier-Sims algorithm; Seress, Permutation Group Algorithms, ch. 4).
 
-    Base points are always the smallest moved points available, so the chain
-    is deterministic.  Level i is stored once, as arrays (position, forward,
-    inverse): position maps a point to its place in the sorted orbit of
-    base[i] (-1 outside the orbit), forward holds the transversal rows t_x in
-    that order and inverse their inverses.  The rank index reads the same
-    arrays.  Closing a level sifts all its Schreier generators
-    t_{s(x)}^-1 o s o t_x in batches of rows through the deeper levels, then
-    registers the non-identity residues one by one in (sorted x, generator)
-    order, which gives the same chain as sifting them one at a time: the
-    deeper transversals do not change while a level is closed.  A level is
-    not sifted again while its generators and the arrays of it and every
-    deeper level are those of its last sift, which would give the same
-    residues, all of them registered already."""
+    A new level's base point is the least point moved by the strong
+    generator that opens it, so the chain is deterministic.  Level i is
+    stored once, as arrays (position, forward, inverse): position maps a
+    point to its place in the sorted orbit of base[i] (-1 outside the orbit),
+    forward holds the transversal rows t_x in that order and inverse their
+    inverses.  The rank index reads the same arrays.
+
+    Levels are closed deepest first, so a level sifts its Schreier
+    generators t_{s(x)}^-1 o s o t_x only through deeper levels that already
+    form a stabilizer chain of the group their generators make.  A
+    non-identity residue is registered at once, and the levels below the
+    closing one are closed again, deepest first, before the level goes on.
+    An orbit only grows and a point keeps the row it was found with, so each
+    Schreier generator (x, s) is sifted once, and the pairs whose
+    breadth-first tree edge defined t_{s(x)} = s o t_x (the identity by
+    construction) are never built.  Schreier generators are sifted in
+    batches of rows; after each registration the batch's remaining
+    non-identity rows are sifted again from their residues.  That gives the
+    same chain as sifting each one afresh: a row strips as before through
+    every level whose orbit held its base image, and its residue fixes those
+    base points, whose rows are the identity."""
 
     def __init__(self, generators, degree: int):
         self.degree = degree
         self.base: list[int] = []
-        self.level_gens: list[list[np.ndarray]] = []
-        self._gen_keys: set[bytes] = set()
         self.levels: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        # number of strong generators each level's arrays were built from
-        self._built_from: list[int] = []
-        # per level, (generator count, _built_from of it and deeper levels)
-        # at its last sift
-        self._sifted: list[tuple | None] = []
+        # strong generators in registration order, each with the number of
+        # leading base points it fixes
+        self._strong: list[tuple[int, np.ndarray]] = []
+        # per level: orbit points in the order found, and how many of the
+        # level's generators the orbit has been closed under
+        self._found: list[list[int]] = []
+        self._seen: list[int] = []
         for g in generators:
             if not is_identity(g):
                 self._register(g, 0)
-        # close all levels to a fixpoint: at the end every orbit is closed
-        # under all applicable strong generators and every Schreier generator
-        # sifts to the identity, which is exactly the chain condition
-        changed = True
-        while changed:
-            changed = False
-            for level in range(len(self.base)):
-                changed |= self._close_level(level)
+        for level in reversed(range(len(self.base))):
+            self._close_level(level)
+
+    @property
+    def level_gens(self) -> list[list[np.ndarray]]:
+        """The strong generators registered at each level, in order."""
+        gens = [[] for _ in self.base]
+        for at, g in self._strong:
+            gens[at].append(g)
+        return gens
 
     @property
     def transversals(self) -> list[dict[int, np.ndarray]]:
@@ -205,73 +217,95 @@ class StabilizerChain:
                 return i
         return len(self.base)
 
-    def _register(self, g: np.ndarray, level: int) -> bool:
+    def _register(self, g: np.ndarray, level: int) -> int:
         """Record a copy of g as a strong generator at the deepest level whose
-        leading base points it fixes (creating a new level if it fixes all of
-        them); a g already recorded is dropped before it is copied."""
-        key = perm_key(g)
-        if key in self._gen_keys:
-            return False
-        self._gen_keys.add(key)
+        leading base points it fixes, creating a new level if it fixes all of
+        them; returns that level."""
         at = self._fixed_level(g)
         if at < level:
             raise ConsistencyError("sifted element moves an earlier base point")
         if at == len(self.base):
             moved = np.nonzero(g != np.arange(self.degree, dtype=g.dtype))[0]
             b = int(moved[0])
+            position = np.full(self.degree, -1, dtype=np.int32)
+            position[b] = 0
+            identity = identity_perm(self.degree)[None]
             self.base.append(b)
-            self.level_gens.append([])
-            self.levels.append(self._transversal(b, []))
-            self._built_from.append(0)
-            self._sifted.append(None)
-        self.level_gens[at].append(g.copy())
-        return True
+            self.levels.append((position, identity, identity.copy()))
+            self._found.append([b])
+            self._seen.append(0)
+        self._strong.append((at, g.copy()))
+        return at
 
-    def _gens_from(self, level: int):
-        """All strong generators fixing base[:level]."""
-        return [g for lvl in range(level, len(self.base))
-                for g in self.level_gens[lvl]]
+    def _gens_from(self, level: int) -> list[np.ndarray]:
+        """All strong generators fixing base[:level], in registration order."""
+        return [g for at, g in self._strong if at >= level]
 
-    def _transversal(self, b: int, gens):
-        """Level arrays for the orbit of b under gens.  The breadth-first
-        search visits frontier points in order and, for each, the generators
-        in order; the first hit of y from x by s gives t_y = s o t_x."""
+    def _extend(self, level: int) -> list[tuple[int, int]]:
+        """Close the orbit at `level` under the generators it has not seen and
+        return the Schreier pairs (x, generator index) this adds, in order,
+        less the tree edges.  The points found before see only the new
+        generators, then each new point, breadth first, sees all of them;
+        the first hit of y from x by s gives t_y = s o t_x, and every
+        earlier row is kept."""
+        gens = self._gens_from(level)
+        found, seen = self._found[level], self._seen[level]
+        if seen == len(gens):
+            return []
+        self._seen[level] = len(gens)
         images = [s.tolist() for s in gens]
-        seen = {b}
-        frontier = [b]
+        known = len(found)
+        depth = dict.fromkeys(found, 0)
+        pairs = []
         tree = []  # per depth: (new points, their parents, generator indices)
-        while frontier:
-            points, parents, via = [], [], []
-            for x in frontier:
-                for j, image in enumerate(images):
-                    y = image[x]
-                    if y not in seen:
-                        seen.add(y)
-                        points.append(y)
-                        parents.append(x)
-                        via.append(j)
-            tree.append((points, parents, via))
-            frontier = points
-        orbit = sorted(seen)
+        for i, x in enumerate(found):  # found grows while it is read
+            for j in range(seen if i < known else 0, len(gens)):
+                y = images[j][x]
+                if y in depth:
+                    pairs.append((x, j))
+                    continue
+                depth[y] = depth[x] + 1
+                if depth[y] > len(tree):
+                    tree.append(([], [], []))
+                points, parents, via = tree[-1]
+                points.append(y)
+                parents.append(x)
+                via.append(j)
+                found.append(y)
+        if tree:
+            self.levels[level] = self._grown(self.levels[level], found, tree,
+                                             gens)
+        return pairs
+
+    def _grown(self, level_arrays, found, tree, gens):
+        """Level arrays for the orbit `found`: the rows of the points in
+        `level_arrays` are kept, and the new points' rows are built a
+        breadth-first layer of the tree at a time."""
+        old_position, old_forward, old_inv = level_arrays
+        orbit = np.sort(np.array(found))
         position = np.full(self.degree, -1, dtype=np.int32)
         position[orbit] = np.arange(len(orbit))
-        forward = np.empty((len(orbit), self.degree), dtype=perm_dtype(self.degree))
-        forward[position[b]] = identity_perm(self.degree)
+        forward = np.empty((len(orbit), self.degree), dtype=old_forward.dtype)
+        inv = np.empty_like(forward)
+        kept = position[np.flatnonzero(old_position >= 0)]
+        forward[kept] = old_forward
+        inv[kept] = old_inv
+        stacked = np.stack(gens)
         step = max(1, BATCH // self.degree)
-        stacked = np.stack(gens) if gens else None
         for points, parents, via in tree:
             for lo in range(0, len(points), step):
                 hi = lo + step
                 forward[position[points[lo:hi]]] = _gather_rows(
                     stacked, via[lo:hi], forward[position[parents[lo:hi]]])
-        inv = np.empty_like(forward)
-        for lo in range(0, len(orbit), step):
-            inv[lo:lo + step] = inverse_rows(forward[lo:lo + step])
+        new = position[[y for points, _, _ in tree for y in points]]
+        for lo in range(0, len(new), step):
+            inv[new[lo:lo + step]] = inverse_rows(forward[new[lo:lo + step]])
         return position, forward, inv
 
-    def _sift_rows(self, rows: np.ndarray, start: int, stop: int) -> None:
-        """Strip each row in place through levels start..stop-1; a row stays
-        as it is from the first level where its base image leaves the orbit."""
+    def _sift_rows(self, rows: np.ndarray, start: int, stop: int) -> np.ndarray:
+        """Strip each row in place through levels start..stop-1 and return the
+        rows; a row stays as it is from the first level where its base image
+        leaves the orbit."""
         active = np.arange(len(rows))
         for b, (position, _, inv) in zip(self.base[start:stop],
                                          self.levels[start:stop]):
@@ -279,40 +313,36 @@ class StabilizerChain:
             inside = pos >= 0
             active = active[inside]
             rows[active] = _gather_rows(inv, pos[inside], rows[active])
+        return rows
 
-    def _close_level(self, level: int) -> bool:
-        """Rebuild the orbit at `level` if its generators grew, and sift all
-        Schreier generators unless nothing changed since the last sift.
-        Returns True if anything changed."""
-        gens = self._gens_from(level)
-        if (len(gens), tuple(self._built_from[level:])) == self._sifted[level]:
-            return False
-        changed = False
-        if len(gens) != self._built_from[level]:
-            size = len(self.levels[level][1])
-            self.levels[level] = None  # free the old arrays first
-            self.levels[level] = self._transversal(self.base[level], gens)
-            self._built_from[level] = len(gens)
-            changed = len(self.levels[level][1]) != size
-        position, forward, inv = self.levels[level]
-        # Schreier generators t_{s(x)}^-1 s t_x, all of which fix
-        # base[:level+1], for x in sorted order and s in generator order;
-        # levels appended while registering are trivial and strip nothing
-        orbit = np.flatnonzero(position >= 0)
-        stacked = np.stack(gens)
-        depth = len(self.levels)
+    def _close_level(self, level: int) -> None:
+        """Sift every Schreier generator of `level` that is new since its last
+        close.  The deeper levels are closed already; a non-identity residue
+        is registered, the levels from its own up to level + 1 are closed
+        again, deepest first, and the orbit at `level` grows by the new
+        generators before the remaining rows are sifted again."""
+        queue = self._extend(level)
         identity = identity_perm(self.degree)
         step = max(1, BATCH // self.degree)
-        pairs = len(orbit) * len(gens)
-        for lo in range(0, pairs, step):
-            x, s = np.divmod(np.arange(lo, min(lo + step, pairs)), len(gens))
-            residues = _gather_rows(inv, position[stacked[s, orbit[x]]],
-                                    _gather_rows(stacked, s, forward[x]))
-            self._sift_rows(residues, level + 1, depth)
-            for k in np.flatnonzero((residues != identity).any(axis=1)).tolist():
-                changed |= self._register(residues[k], level + 1)
-        self._sifted[level] = (len(gens), tuple(self._built_from[level:]))
-        return changed
+        lo = 0
+        while lo < len(queue):  # the queue grows while it is read
+            x, s = np.array(queue[lo:lo + step]).T
+            lo += step
+            position, forward, inv = self.levels[level]
+            stacked = np.stack(self._gens_from(level))
+            residues = _gather_rows(inv, position[stacked[s, x]],
+                                    _gather_rows(stacked, s, forward[position[x]]))
+            pending = np.arange(len(residues))
+            while len(pending):
+                residues[pending] = self._sift_rows(residues[pending], level + 1,
+                                                    len(self.base))
+                pending = pending[(residues[pending] != identity).any(axis=1)]
+                if len(pending):
+                    at = self._register(residues[pending[0]], level + 1)
+                    for deeper in range(at, level, -1):
+                        self._close_level(deeper)
+                    queue += self._extend(level)
+                    pending = pending[1:]
 
     def coset_canonical(self, rows: np.ndarray) -> np.ndarray:
         """For each row x, the member of the left coset xN (N this chain's

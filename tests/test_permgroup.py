@@ -1,6 +1,7 @@
 """Permutation engine: arithmetic, stabilizer chains, conjugacy classes."""
 
 import itertools
+from collections import deque
 from functools import lru_cache
 from math import gcd, lcm
 
@@ -11,7 +12,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from regclass.catalog import default_catalog, entry_by_key, sl2_center
+from regclass.catalog import (default_catalog, entry_by_key, family_order,
+                              sl2_center)
 from regclass.harness import quotient_pairs
 from regclass.numtheory import factorize, p_part
 from regclass import permgroup
@@ -162,24 +164,24 @@ def _group(key):
 # ---------------------------------------------------------------------------
 
 class _ReferenceChain:
-    """Deterministic Schreier-Sims one permutation at a time: dict
-    transversals grown breadth-first, every Schreier generator stripped on its
-    own, all levels closed again until nothing changes.  Each transversal
-    element's inverse is computed once, when its transversal is built."""
+    """Sims' deterministic Schreier-Sims one permutation at a time: dict
+    transversals that only grow, levels closed deepest first, and after each
+    new strong generator the levels below the closing one closed again,
+    deepest first.  A level's Schreier pairs (x, s) are queued as its orbit
+    grows: the points found before see the new generators, then each new
+    point, breadth first, sees all of them; a pair that finds a new point is
+    its tree edge and is not queued."""
 
     def __init__(self, generators, degree):
         self.degree = degree
         self.base, self.level_gens, self.transversals = [], [], []
-        self.inverses = []
-        self.keys = set()
+        self.inverses, self.found, self.seen = [], [], []
+        self.strong = []  # (level, generator) in registration order
         for g in generators:
             if not is_identity(g):
                 self.register(g, 0)
-        changed = True
-        while changed:
-            changed = False
-            for level in range(len(self.base)):
-                changed |= self.close(level)
+        for level in reversed(range(len(self.base))):
+            self.close(level)
 
     def strip(self, g):
         for b, inv in zip(self.base, self.inverses):
@@ -190,9 +192,6 @@ class _ReferenceChain:
         return g
 
     def register(self, g, level):
-        if g.tobytes() in self.keys:
-            return False
-        self.keys.add(g.tobytes())
         at = next((i for i, b in enumerate(self.base) if g[b] != b),
                   len(self.base))
         assert at >= level
@@ -202,32 +201,45 @@ class _ReferenceChain:
             self.level_gens.append([])
             self.transversals.append({b: identity_perm(self.degree)})
             self.inverses.append({b: identity_perm(self.degree)})
+            self.found.append([b])
+            self.seen.append(0)
         self.level_gens[at].append(g)
-        return True
+        self.strong.append((at, g))
+        return at
+
+    def gens(self, level):
+        return [g for at, g in self.strong if at >= level]
+
+    def extend(self, level):
+        gens = self.gens(level)
+        tr, inv, found = (self.transversals[level], self.inverses[level],
+                          self.found[level])
+        known, seen = len(found), self.seen[level]
+        self.seen[level] = len(gens)
+        pairs = []
+        for i, x in enumerate(found):
+            for j in range(seen if i < known else 0, len(gens)):
+                y = int(gens[j][x])
+                if y in tr:
+                    pairs.append((x, j))
+                else:
+                    tr[y] = compose(gens[j], tr[x])
+                    inv[y] = inverse(tr[y])
+                    found.append(y)
+        return pairs
 
     def close(self, level):
-        gens = [g for lg in self.level_gens[level:] for g in lg]
-        tr = {self.base[level]: identity_perm(self.degree)}
-        frontier = [self.base[level]]
-        while frontier:
-            new = []
-            for x in frontier:
-                for s in gens:
-                    y = int(s[x])
-                    if y not in tr:
-                        tr[y] = compose(s, tr[x])
-                        new.append(y)
-            frontier = new
-        changed = len(tr) != len(self.transversals[level])
-        self.transversals[level] = tr
-        inv = self.inverses[level] = {y: inverse(t) for y, t in tr.items()}
-        for x in sorted(tr):
-            for s in gens:
-                residue = self.strip(
-                    compose(inv[int(s[x])], compose(s, tr[x])))
-                if not is_identity(residue):
-                    changed |= self.register(residue, level + 1)
-        return changed
+        queue = deque(self.extend(level))
+        tr, inv = self.transversals[level], self.inverses[level]
+        while queue:
+            x, j = queue.popleft()
+            s = self.gens(level)[j]
+            residue = self.strip(compose(inv[int(s[x])], compose(s, tr[x])))
+            if not is_identity(residue):
+                at = self.register(residue, level + 1)
+                for deeper in range(at, level, -1):
+                    self.close(deeper)
+                queue.extend(self.extend(level))
 
     def rank_levels(self):
         """(position, forward, inverse, radix) per level, as the rank index
@@ -271,6 +283,27 @@ def test_chain_matches_reference_on_random_generators(case):
     gens = [as_perm(list(g), degree) for g in images]
     _assert_same_chain(StabilizerChain(gens, degree),
                        _ReferenceChain(gens, degree))
+
+
+@pytest.mark.parametrize("key", [e.key for e in default_catalog()])
+def test_chain_is_a_bsgs(key):
+    """Whatever algorithm built the chain: each transversal row maps the base
+    point to its orbit point, every Schreier generator t_{s(x)}^-1 s t_x of
+    every level strips to the identity through the whole chain, one
+    permutation at a time, and the order is the family formula's."""
+    entry = entry_by_key(key)
+    chain = _group(key).chain
+    assert chain.order == family_order(entry.family, entry.params)
+    level_gens = chain.level_gens
+    for level, (b, tr) in enumerate(zip(chain.base, chain.transversals)):
+        gens = [g for lg in level_gens[level:] for g in lg]
+        assert gens and all(int(t[b]) == x for x, t in tr.items())
+        for x, t in tr.items():
+            for s in gens:
+                assert int(s[x]) in tr
+                residue, depth = chain.strip(
+                    compose(inverse(tr[int(s[x])]), compose(s, t)))
+                assert depth == len(chain.base) and is_identity(residue)
 
 
 def test_random_element_beyond_rank_index_cap():
@@ -675,29 +708,31 @@ def test_central_quotient_of_sl2_matches_catalog_psl2(q):
 
 
 class _SiftLog(StabilizerChain):
-    """A chain that logs (level, generator count, _built_from of the level
-    and the deeper ones) at the start of every sift of a level."""
+    """A chain that logs (level, strong generator count of the level and of
+    each deeper one) at the first sift of each close of a level.  Closes
+    nest, so the levels opened and not yet sifted are a set, and a sift
+    through levels start.. is credited to level start - 1."""
 
     def __init__(self, generators, degree):
-        self.log, self._opened = [], None
+        self.log, self._opened = [], set()
         super().__init__(generators, degree)
 
     def _close_level(self, level):
-        self._opened = level
+        self._opened.add(level)
         return super()._close_level(level)
 
     def _sift_rows(self, rows, start, stop):
-        if self._opened is not None:
-            level, self._opened = self._opened, None
-            self.log.append((level, len(self._gens_from(level)),
-                             tuple(self._built_from[level:])))
-        super()._sift_rows(rows, start, stop)
+        level = start - 1
+        if level in self._opened:
+            self._opened.remove(level)
+            self.log.append((level, tuple(map(len, self.level_gens[level:]))))
+        return super()._sift_rows(rows, start, stop)
 
 
 @pytest.mark.parametrize("key", ["sym(6)", "psl2(27)", "sp4(2)", "sl2(13)",
                                  "sl2(13)/center"])
 def test_chain_never_sifts_a_level_twice_with_one_stamp(key):
-    """A level whose generators and arrays (its own and the deeper ones) are
+    """A level whose strong generators (its own and the deeper ones) are
     those of an earlier sift is not sifted again; the chain is unchanged."""
     if key.endswith("/center"):
         group = quotient_group(_group("sl2(13)"), sl2_center(13))
