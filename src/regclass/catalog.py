@@ -6,6 +6,12 @@ outer action used for class fusion.  Outer automorphisms are always realized
 by ambient conjugation (diagonal/field/graph automorphisms as explicit
 permutations), never by abstract generator maps.
 
+Every entry has at most two generators (class enumeration costs one
+conjugation action per generator).  For the matrix families each is a fixed
+word in the natural matrices, or in their permutations; `_build_checked`
+compares the built order with the family formula, and that check is the proof
+that the two generate the whole group.
+
 There is one catalog, and every entry is below the one class-enumeration cap
 (`permgroup.CLASS_CAP`); the largest is psl2(256), of order 16,776,960.
 
@@ -19,7 +25,7 @@ from math import factorial, gcd
 
 from . import gf
 from .numtheory import divisors, factorize, is_prime
-from .permgroup import PermGroup, as_perm, perm_from_cycles
+from .permgroup import PermGroup, as_perm, compose, perm_from_cycles
 
 
 # ---------------------------------------------------------------------------
@@ -219,29 +225,21 @@ def _build_alt(n):
 
 
 def _sl2_matrices(F):
-    """Transvection, diagonal (least primitive), Weyl element."""
+    """Two generators of SL2(q): the transvection T and D.T.W, where D is
+    the diagonal of the least primitive element and W the Weyl element."""
     a = F.primitive_element()
     T = ((F.one, F.one), (F.zero, F.one))
     D = ((a, F.zero), (F.zero, F.inv(a)))
     W = ((F.zero, F.one), (F.neg(F.one), F.zero))
-    return [T, D, W]
+    return [T, mat_mul(F, mat_mul(F, D, T), W)]
 
 
-def _psl2_data(q):
+def _projective_line(q):
+    """GF(q), the points of PG(1, q) and their index."""
     ell, f = factorize(q).pairs[0]
     F = gf.make_field(ell, f)
     points = projective_points(F, 2)
-    index = point_index(points)
-    gens = [projective_perm(F, points, index, M) for M in _sl2_matrices(F)]
-    conjs = []
-    if q % 2:
-        b = next(x for x in (F.from_int(i) for i in range(2, q))
-                 if not _is_square(F, x))
-        conjs.append(projective_perm(F, points, index,
-                                     ((b, F.zero), (F.zero, F.one))))
-    if f > 1:
-        conjs.append(frobenius_point_perm(F, points, index))
-    return F, points, index, gens, conjs
+    return F, points, point_index(points)
 
 
 def _is_square(F, x):
@@ -249,26 +247,39 @@ def _is_square(F, x):
 
 
 def _build_psl2(q):
-    _, points, _, gens, conjs = _psl2_data(q)
+    F, points, index = _projective_line(q)
+    gens = [projective_perm(F, points, index, M) for M in _sl2_matrices(F)]
+    conjs = []
+    if q % 2:
+        b = next(x for x in (F.from_int(i) for i in range(2, q))
+                 if not _is_square(F, x))
+        conjs.append(projective_perm(F, points, index,
+                                     ((b, F.zero), (F.zero, F.one))))
+    if F.f > 1:
+        conjs.append(frobenius_point_perm(F, points, index))
     return PermGroup(len(points), gens, name=f"PSL2({q})"), conjs
 
 
 def _build_pgl2(q):
-    F, points, index, gens, _ = _psl2_data(q)
+    """Generators T and D.T.W.diag(b, 1), b the least primitive element."""
+    F, points, index = _projective_line(q)
+    T, DTW = _sl2_matrices(F)
     b = F.primitive_element()
-    gens = gens + [projective_perm(F, points, index,
-                                   ((b, F.zero), (F.zero, F.one)))]
+    gens = [projective_perm(F, points, index, M)
+            for M in (T, mat_mul(F, DTW, ((b, F.zero), (F.zero, F.one))))]
     conjs = [frobenius_point_perm(F, points, index)] if F.f > 1 else []
     return PermGroup(len(points), gens, name=f"PGL2({q})"), conjs
 
 
 def _build_pgammal2(q):
-    F, points, index, gens, _ = _psl2_data(q)
+    """Generators diag(b, 1), b the least primitive element, and D.T.W
+    composed with the Frobenius map (applied first)."""
+    F, points, index = _projective_line(q)
+    _, DTW = _sl2_matrices(F)
     b = F.primitive_element()
-    gens = gens + [projective_perm(F, points, index,
-                                   ((b, F.zero), (F.zero, F.one)))]
-    if F.f > 1:
-        gens = gens + [frobenius_point_perm(F, points, index)]
+    gens = [projective_perm(F, points, index, ((b, F.zero), (F.zero, F.one))),
+            compose(projective_perm(F, points, index, DTW),
+                    frobenius_point_perm(F, points, index))]
     return PermGroup(len(points), gens, name=f"PGammaL2({q})"), []
 
 
@@ -316,7 +327,8 @@ def _build_psl3(q):
     T = ((one, one, zero), (zero, one, zero), (zero, zero, one))
     W = ((zero, zero, one), (one, zero, zero), (zero, one, zero))
     D = ((a, zero, zero), (zero, one, zero), (zero, zero, F.inv(a)))
-    gens = [_psl3_combined_perm(F, points, index, M) for M in (T, W, D)]
+    WTD = mat_mul(F, mat_mul(F, W, T), D)
+    gens = [_psl3_combined_perm(F, points, index, M) for M in (T, WTD)]
     conjs = []
     if gcd(3, q - 1) == 3:
         diag = ((a, zero, zero), (zero, one, zero), (zero, zero, one))
@@ -337,6 +349,8 @@ def _symplectic_form(F, x, y):
 
 
 def _build_sp4(q):
+    """Generators t_{e0} o t_{e1} and t_{e2} o t_{e0+e1} o t_{e2+e3}, where
+    t_v is the transvection x -> x + B(x, v) v."""
     if q not in (2, 3):
         raise ValueError("sp4 is built only for q in {2, 3}")
     ell, f = factorize(q).pairs[0]
@@ -345,22 +359,20 @@ def _build_sp4(q):
     index = point_index(points)
     one, zero = F.one, F.zero
     e = [tuple(one if i == j else zero for j in range(4)) for i in range(4)]
-    directions = e + [
-        tuple(F.add(a, b) for a, b in zip(e[0], e[1])),
-        tuple(F.add(a, b) for a, b in zip(e[0], e[3])),
-        tuple(F.add(a, b) for a, b in zip(e[1], e[2])),
-        tuple(F.add(a, b) for a, b in zip(e[2], e[3])),
-    ]
-    scalars = [F.from_int(c) for c in range(1, q)]
 
-    def transvection_perm(v, c):
+    def transvection_perm(v):
         def image(x):
-            s = F.mul(c, _symplectic_form(F, x, v))
+            s = _symplectic_form(F, x, v)
             return tuple(F.add(xi, F.mul(s, vi)) for xi, vi in zip(x, v))
         return as_perm([index[normalize_point(F, image(p))] for p in points],
                        len(points))
 
-    gens = [transvection_perm(v, c) for v in directions for c in scalars]
+    def plus(u, v):
+        return tuple(F.add(a, b) for a, b in zip(u, v))
+
+    t = [transvection_perm(v)
+         for v in (e[0], e[1], e[2], plus(e[0], e[1]), plus(e[2], e[3]))]
+    gens = [compose(t[0], t[1]), compose(compose(t[2], t[3]), t[4])]
     return PermGroup(len(points), gens, name=f"PSp4({q})"), []
 
 

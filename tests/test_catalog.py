@@ -10,9 +10,8 @@ from regclass import gf
 from regclass.catalog import (default_catalog, entry_by_key, family_order,
                               mat_identity, mat_inv, mat_mul, mat_transpose,
                               projective_points, sl2_center)
-from regclass.permgroup import compose, conjugate, inverse, is_identity
-
-SMALL_ORDER = 30_000
+from regclass.permgroup import (PermGroup, compose, conjugacy_classes,
+                                conjugate, inverse, is_identity)
 
 
 def test_catalog_size_and_uniqueness():
@@ -24,14 +23,31 @@ def test_catalog_size_and_uniqueness():
     assert {"psl2(243)", "psl2(256)", "psl3_with_duality(8)"} <= set(keys)
 
 
-@pytest.mark.parametrize(
-    "key", [e.key for e in default_catalog() if e.order <= SMALL_ORDER])
+@pytest.mark.parametrize("key", [e.key for e in default_catalog()])
 def test_build_order_matches_formula(key):
     entry = entry_by_key(key)
     group, conjs = entry.build()
     assert group.order == entry.order
     for c in conjs:
         assert group.normalized_by(c)
+
+
+def test_every_entry_has_at_most_two_generators():
+    assert [e.key for e in default_catalog()
+            if len(e.build()[0].generators) > 2] == []
+
+
+@pytest.mark.parametrize("key", ["psl2(8)", "pgammal2(9)", "sp4(2)", "sp4(3)"])
+def test_class_table_does_not_depend_on_generators(key):
+    group, _ = entry_by_key(key).build()
+    a, b = group.generators
+    wider = PermGroup(group.degree, [a, b, compose(a, b), inverse(a)])
+
+    def rows(g):
+        return [(c.size, c.order, c.rep.tolist())
+                for c in conjugacy_classes(g).classes]
+
+    assert rows(wider) == rows(group)
 
 
 def test_family_order_values():
