@@ -83,18 +83,22 @@ def mat_apply(F, A, v):
 # ---------------------------------------------------------------------------
 
 def projective_points(F, dim):
-    """Normalized projective points of F^dim, in integer-encoding order."""
+    """Normalized projective points of F^dim, in integer-encoding order.
+
+    Coordinate t is base-q digit t of the code, so the points whose first
+    nonzero coordinate is t = j (and equal to 1) have the codes
+    q^j + q^(j+1) m for m < q^(dim-1-j): only these are listed and decoded."""
+    q = F.q
+    codes = sorted(q**j + q**(j + 1) * m
+                   for j in range(dim) for m in range(q**(dim - 1 - j)))
+    elements = F.elements()
     points = []
-    for code in range(F.q**dim):
+    for code in codes:
         v = []
-        c = code
         for _ in range(dim):
-            c, r = divmod(c, F.q)
-            v.append(F.from_int(r))
-        v = tuple(v)
-        lead = next((x for x in v if x != F.zero), None)
-        if lead == F.one:
-            points.append(v)
+            code, r = divmod(code, q)
+            v.append(elements[r])
+        points.append(tuple(v))
     return points
 
 

@@ -8,6 +8,21 @@ for both the coordinates and the kernels.  Eigenvector rows are lifted to
 exact cyclotomic integers (multiplicity vectors over e-th roots of unity) by
 the discrete Fourier lift over power maps.
 
+As in Schneider's refinement ("Dixon's character table algorithm
+revisited", J. Symbolic Comput. 9, 1990), a class matrix is computed only
+where a split reads it.  Each subspace is a basis B that is the identity at
+its pivot rows R, so M B = B X gives X = M[R] B, and class i is computed only
+at the union of the pivot rows of the subspaces of dimension > 1 (row j of
+M_i is a bincount over C_i, `class_matrix`).  An eigenspace's pivot rows are
+R at the free columns of its kernel basis, which is the identity there.
+Where X is a scalar lambda*I, M_i acts on the subspace as lambda, so the
+subspace is kept as it is, with no characteristic polynomial, root scan or
+kernel; X is still solved from B[R], which must be invertible.  Rows alone
+cannot show that a subspace is invariant; in its place every final
+eigenvector w, scaled to w[0] = 1, must satisfy M_i[R_i] w = w[i] w[R_i]
+for each class i used and its computed rows R_i (row 0 of M_i is e_i, so
+the eigenvalue is w[i]).
+
 The power maps come from one power table: the powers rep^0..rep^(o-1) of
 every class representative, stacked and classified by one batched class
 lookup.  For a class of order o, the K x o slice of mod-P values along its
@@ -42,7 +57,7 @@ from .numtheory import (cyclotomic_coeffs, divisors, factorize, is_prime,
                         p_part)
 from .permgroup import (CHUNK, ClassTable, ConsistencyError, PermGroup,
                         ResourceLimitError, _primitive_root, class_counts,
-                        inverse_rows, power_class_map)
+                        power_class_map)
 
 MAX_CLASSES = 80
 MAX_ORDER = 3_000_000
@@ -203,10 +218,14 @@ def _root_of_unity(p: int, e: int) -> int:
     return pow(g, (p - 1) // e, p)
 
 
+@lru_cache(maxsize=None)
 def _root_powers(p: int, e: int) -> np.ndarray:
-    """z^0, ..., z^(e-1) mod p for the primitive e-th root z of `_root_of_unity`."""
+    """z^0, ..., z^(e-1) mod p for the primitive e-th root z of
+    `_root_of_unity`; read-only, since every caller shares one array."""
     z = _root_of_unity(p, e)
-    return np.array([pow(z, t, p) for t in range(e)], dtype=np.int64)
+    powers = np.array([pow(z, t, p) for t in range(e)], dtype=np.int64)
+    powers.flags.writeable = False
+    return powers
 
 
 def _aux_primes(e: int, needed_product: int) -> list[int]:
@@ -226,21 +245,35 @@ def _aux_primes(e: int, needed_product: int) -> list[int]:
 # class algebra
 # ---------------------------------------------------------------------------
 
-def class_matrix(table: ClassTable, i: int) -> np.ndarray:
-    """M_i with (M_i)[j][k] = #{(x, y) in C_i x C_j : x y = z_k}.
+def class_matrix(table: ClassTable, i: int, rows) -> np.ndarray:
+    """The given rows of M_i, (M_i)[j][k] = #{(x, y) in C_i x C_j : x y = z_k}.
 
-    Over the members x of C_i (unranked in chunks from the class-id array),
-    column k counts the class ids of the ranks of x^-1 z_k."""
+    Counting the triples x y = z with x in C_i, y in C_j, z in C_k gives
+    |C_k| (M_i)[j][k] = |C_j| #{x in C_i : x z_j in C_k}, so row j is a
+    bincount of the classes of x z_j over the members x of C_i.  The base
+    images of x z_j are the images under x of the points z_j(base); the
+    members are read from the class-id array, and every requested row of a
+    chunk of them is ranked in one batched call.  The division by |C_k| must
+    be exact."""
+    rows = np.asarray(rows, dtype=np.intp)
     K = len(table.classes)
     index = table.group.chain.index
-    rep_base = np.stack([c.rep[index.base] for c in table.classes])
+    width = len(index.base)
+    points = np.concatenate([table.classes[j].rep[index.base] for j in rows])
+    offsets = np.arange(len(rows)) * K
     members = np.flatnonzero(table.class_id == i)
-    M = np.zeros((K, K), dtype=np.int64)
-    for start in range(0, len(members), CHUNK):
-        xinv = inverse_rows(index.unrank(members[start:start + CHUNK]))
-        for k in range(K):
-            ranks = index.rank(xinv[:, rep_base[k]])
-            M[:, k] += np.bincount(table.class_id[ranks], minlength=K)
+    counts = np.zeros(len(rows) * K, dtype=np.int64)
+    step = max(1, CHUNK // len(rows))
+    for start in range(0, len(members), step):
+        images = index.images(members[start:start + step], points)
+        # column-major: `rank` reads and rewrites one base column at a time
+        ranks = index.rank(np.asfortranarray(images.reshape(-1, width)))
+        ids = table.class_id[ranks].reshape(-1, len(rows)) + offsets
+        counts += np.bincount(ids.ravel(), minlength=len(counts))
+    sizes = np.array(table.sizes, dtype=np.int64)
+    M, rest = np.divmod(counts.reshape(len(rows), K) * sizes[rows, None], sizes)
+    if rest.any():
+        raise ConsistencyError(f"class {i} structure constants are not integers")
     return M
 
 
@@ -255,14 +288,19 @@ def _rref_mod(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     pivots = []
     for col in range(R.shape[1]):
         row = len(pivots)
-        nz = np.flatnonzero(R[row:, col])
+        if row == len(R):
+            break
+        nz = R[row:, col].nonzero()[0]
         if not len(nz):
             continue
-        R[[row, row + nz[0]]] = R[[row + nz[0], row]]
-        R[row] = R[row] * pow(int(R[row, col]), -1, p) % p
+        if nz[0]:
+            R[[row, row + nz[0]]] = R[[row + nz[0], row]]
+        if R[row, col] != 1:
+            R[row] = R[row] * pow(int(R[row, col]), -1, p) % p
         factor = R[:, col].copy()
         factor[row] = 0
-        R = (R - np.outer(factor, R[row])) % p
+        if factor.any():  # a column that is already a unit vector needs none
+            R = (R - factor[:, None] * R[row]) % p
         pivots.append(col)
     return R, pivots
 
@@ -324,34 +362,42 @@ def _poly_roots_mod(coeffs: list[int], p: int) -> list[int]:
     return np.flatnonzero(vals == 0).tolist()
 
 
-def _nullspace_mod(A: np.ndarray, p: int) -> np.ndarray:
+def _nullspace_mod(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Columns spanning ker(A) mod p, one per non-pivot column of the
-    reduced row echelon form."""
+    reduced row echelon form, and those free columns: at them the basis is
+    the identity."""
     m = A.shape[1]
     R, pivots = _rref_mod(A, p)
     free = [c for c in range(m) if c not in pivots]
     basis = np.zeros((m, len(free)), dtype=np.int64)
     basis[free, range(len(free))] = 1
     basis[pivots] = -R[:len(pivots)][:, free] % p
-    return basis
+    return basis, free
 
 
-def _eigen_split(B: np.ndarray, M: np.ndarray, p: int) -> list[np.ndarray]:
+def _eigen_split(B: np.ndarray, pivots: np.ndarray, rows: np.ndarray,
+                 p: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """The eigenspaces of M on the M-invariant subspace spanned by the
-    columns of B, as basis matrices by ascending eigenvalue in GF(p).
+    columns of B, with B[pivots] = I, from rows = M[pivots] alone: as
+    (basis, pivot rows) pairs by ascending eigenvalue in GF(p).
 
-    Their dimensions sum to m = B.shape[1] iff M is diagonalizable there
-    over GF(p): an eigenspace is no larger than the root's multiplicity in
-    the characteristic polynomial, and the multiplicities of the roots in
-    GF(p) sum to at most m."""
+    M B = B X gives X = (M B)[pivots] = rows B.  A scalar X is one
+    eigenspace, and (B, pivots) comes back as it went in.  An eigenspace
+    B N has pivot rows pivots[free], since N is the identity at its free
+    rows.  The dimensions sum to m = B.shape[1] iff M is diagonalizable
+    there over GF(p): an eigenspace is no larger than the root's
+    multiplicity in the characteristic polynomial, and the multiplicities of
+    the roots in GF(p) sum to at most m."""
     m = B.shape[1]
-    X = _solve_coords(B, M @ B % p, p)
+    X = _solve_coords(B[pivots], rows @ B % p, p)
     eye = np.eye(m, dtype=np.int64)
+    if (X == X[0, 0] * eye).all():  # M is scalar here: one eigenspace
+        return [(B, pivots)]
     spaces = [_nullspace_mod((X - lam * eye) % p, p)
               for lam in _poly_roots_mod(_charpoly_mod(X, p), p)]
-    if sum(ns.shape[1] for ns in spaces) != m:
+    if sum(len(free) for _, free in spaces) != m:
         raise ConsistencyError("class matrix not diagonalizable over GF(P)")
-    return [B @ ns % p for ns in spaces]
+    return [(B @ ns % p, pivots[free]) for ns, free in spaces]
 
 
 # ---------------------------------------------------------------------------
@@ -372,10 +418,15 @@ class CharacterTable:
         return len(self.degrees)
 
     @cached_property
+    def _interned(self) -> tuple[list[CycValue], np.ndarray]:
+        """`_intern(self.values)`: the distinct values and their indices."""
+        return _intern(self.values)
+
+    @cached_property
     def _galois(self) -> tuple[np.ndarray, np.ndarray]:
         """The units k mod e and rows_fixed[character, unit]: sigma_k fixes
         every value of the character."""
-        distinct, value_id = _intern(self.values)
+        distinct, value_id = self._interned
         units, fixed = galois_fixed_table(distinct, self.exponent)
         return units, np.stack([fixed[ids].all(axis=0) for ids in value_id])
 
@@ -423,10 +474,13 @@ def _lift(mod_values: np.ndarray, degrees, power, e: int, P: int):
         if (_matmul_mod(mults, z_pows[step * s][:, None], P)[:, 0]
                 != mod_values[:, j]).any():
             raise ConsistencyError("lift does not reproduce the modular value")
-        for row, m in zip(values, mults):
-            nz = np.flatnonzero(m)
-            row.append(CycValue(e, tuple((step * nz).tolist()),
-                                tuple(m[nz].tolist())))
+        # one nonzero scan per class, split by character with list slices
+        at, s_nz = np.nonzero(mults)
+        support = (step * s_nz).tolist()
+        counts = mults[at, s_nz].tolist()
+        bounds = np.searchsorted(at, np.arange(len(degs) + 1)).tolist()
+        for row, lo, hi in zip(values, bounds, bounds[1:]):
+            row.append(CycValue(e, tuple(support[lo:hi]), tuple(counts[lo:hi])))
     return tuple(map(tuple, values))
 
 
@@ -441,18 +495,39 @@ def character_table(group: PermGroup, table: ClassTable) -> CharacterTable:
     P = dixon_prime(e, n)
 
     # --- simultaneous eigenvectors of the class matrices over GF(P) --------
-    subspaces = [np.eye(K, dtype=np.int64)]
+    # each subspace is (basis B, pivot rows R) with B[R] = I; class i is
+    # computed only at the pivot rows of the subspaces still to be split
+    subspaces = [(np.eye(K, dtype=np.int64), np.arange(K))]
+    computed = []
+    at = np.empty(K, dtype=np.intp)
     by_size = sorted(range(1, K), key=lambda i: (table.classes[i].size, i))
     for i in by_size:
-        if all(B.shape[1] == 1 for B in subspaces):
+        unsplit = [R for _, R in subspaces if len(R) > 1]
+        if not unsplit:
             break
-        M = class_matrix(table, i) % P
-        subspaces = [part for B in subspaces for part in
-                     ([B] if B.shape[1] == 1 else _eigen_split(B, M, P))]
-    if any(B.shape[1] != 1 for B in subspaces):
+        # their union by a mask: np.unique imports numpy.ma on its first call
+        need = np.zeros(K, dtype=bool)
+        need[np.concatenate(unsplit)] = True
+        rows = np.flatnonzero(need)
+        M = class_matrix(table, i, rows) % P
+        computed.append((i, rows, M))
+        at[rows] = np.arange(len(rows))
+        subspaces = [part for B, R in subspaces for part in
+                     ([(B, R)] if len(R) == 1 else _eigen_split(B, R, M[at[R]], P))]
+    if any(len(R) != 1 for _, R in subspaces):
         raise ConsistencyError("class matrices failed to separate characters")
 
-    # --- normalize, recover degrees and mod-P character values -------------
+    # --- normalize (w[0] = 1), check, recover degrees and mod-P values -----
+    W = np.stack([B[:, 0] for B, _ in subspaces], axis=1) % P
+    if not W[0].all():
+        raise ConsistencyError("eigenvector vanishes on the identity class")
+    W = W * np.array([pow(int(w), -1, P) for w in W[0]], dtype=np.int64) % P
+    # row 0 of M_i is e_i, so w's eigenvalue under M_i is w[i]; this stands
+    # in for the invariance that rows alone cannot show
+    for i, rows, M in computed:
+        if not np.array_equal(M @ W % P, W[i] * W[rows] % P):
+            raise ConsistencyError(f"eigenvectors fail class matrix {i} "
+                                   "at its computed rows")
     power = table.power
     inv_class = [int(pw[-1]) for pw in power]
     sizes = np.array([c.size for c in table.classes], dtype=np.int64)
@@ -460,11 +535,7 @@ def character_table(group: PermGroup, table: ClassTable) -> CharacterTable:
     group_divisors = divisors(n)
     rows_mod = []
     degrees = []
-    for B in subspaces:
-        w = B[:, 0] % P
-        if w[0] % P == 0:
-            raise ConsistencyError("eigenvector vanishes on the identity class")
-        w = w * pow(int(w[0]), -1, P) % P
+    for w in W.T:
         s = int(np.sum(w * w[inv_class] % P * size_inv % P) % P)
         d_sq = n * pow(s, -1, P) % P
         d = next((x for x in group_divisors
@@ -534,7 +605,7 @@ def _verify_exact_orthogonality(ct: CharacterTable):
     mass_row = int(np.sum(sizes)) * max_d * max_d
     mass_col = sum(d * d for d in ct.degrees)
     bound = 2 * (max(mass_row, mass_col) + n) * height
-    distinct, value_id = _intern(ct.values)
+    distinct, value_id = ct._interned
     eye = np.eye(len(ct.degrees), dtype=np.int64)
     for Q in _aux_primes(e, bound):
         # the value matrices at zeta -> zq and zeta -> zq^-1, each distinct

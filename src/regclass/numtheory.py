@@ -76,6 +76,7 @@ class Factorization:
         return tuple(p for p, _ in self.pairs)
 
 
+@lru_cache(maxsize=None)
 def factorize(n: int) -> Factorization:
     """Factor a positive integer by trial division.
 

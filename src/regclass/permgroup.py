@@ -18,7 +18,7 @@ and the cosets are enumerated in batches of rows).
 """
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from math import gcd, lcm
 
 import numpy as np
@@ -794,6 +794,7 @@ def galois_fixed_class_count(table: ClassTable, p: int) -> int:
     return sum(1 for i, j in enumerate(mapping) if i == j)
 
 
+@lru_cache(maxsize=None)
 def _primitive_root(m: int) -> int:
     """Least primitive root modulo m = p^a, p odd."""
     from .numtheory import euler_phi, factorize

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from regclass import gf
+from regclass import catalog, gf
 from regclass.catalog import (default_catalog, entry_by_key, family_order,
                               mat_identity, mat_inv, mat_mul, mat_transpose,
                               projective_points, sl2_center)
@@ -110,6 +110,37 @@ def test_projective_point_count():
         q = F.q
         expected = (q**dim - 1) // (q - 1)
         assert len(projective_points(F, dim)) == expected
+
+
+def _reference_projective_points(F, dim):
+    """Every code below q^dim decoded, coordinate t its base-q digit t,
+    keeping the vectors whose first nonzero coordinate is 1."""
+    points = []
+    for code in range(F.q**dim):
+        v = []
+        for _ in range(dim):
+            code, r = divmod(code, F.q)
+            v.append(F.from_int(r))
+        if next((x for x in v if x != F.zero), None) == F.one:
+            points.append(tuple(v))
+    return points
+
+
+def test_projective_points_match_the_full_enumeration(monkeypatch):
+    """On every (field, dimension) that a catalog builder asks for."""
+    used = set()
+
+    def recorded(F, dim):
+        used.add((F.ell, F.f, dim))
+        return projective_points(F, dim)
+
+    monkeypatch.setattr(catalog, "projective_points", recorded)
+    for entry in default_catalog():
+        catalog._BUILDERS[entry.family](*entry.params)
+    assert (2, 8, 2) in used and (2, 1, 4) in used
+    for ell, f, dim in sorted(used):
+        F = gf.make_field(ell, f)
+        assert projective_points(F, dim) == _reference_projective_points(F, dim)
 
 
 @given(st.integers(0, 5**9 - 1))

@@ -10,7 +10,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regclass import harness
+from regclass import chartab, harness
 from regclass.catalog import default_catalog, entry_by_key
 from regclass.chartab import (CHUNK, CycValue, RationalityFlags,
                               _aux_primes, _charpoly_mod,
@@ -25,9 +25,10 @@ from regclass.chartab import (CHUNK, CycValue, RationalityFlags,
                               galois_fixed_table, load_character_table,
                               save_character_table)
 from regclass.numtheory import EQUAL, GREATER, divisors, factorize, p_part
-from regclass.permgroup import (ConsistencyError, ResourceLimitError,
-                                class_counts, conjugacy_classes,
-                                galois_fixed_class_count, perm_power)
+from regclass.permgroup import (ClassTable, ConsistencyError,
+                                ResourceLimitError, class_counts,
+                                conjugacy_classes, galois_fixed_class_count,
+                                inverse_rows, perm_power)
 
 # degree multisets frozen from standard character-table references
 KNOWN_DEGREES = {
@@ -414,6 +415,68 @@ def test_brauer_cross_check_rejects_a_foreign_class_table(tables):
 # the eigen-split against the elimination it replaced
 # ---------------------------------------------------------------------------
 
+def _reference_class_matrix(table, i):
+    """All of M_i, (M_i)[j][k] = #{(x, y) in C_i x C_j : x y = z_k}, by
+    columns: over the members x of C_i, column k counts the classes of
+    x^-1 z_k, one rank call per column."""
+    K = len(table.classes)
+    index = table.group.chain.index
+    rep_base = np.stack([c.rep[index.base] for c in table.classes])
+    members = np.flatnonzero(table.class_id == i)
+    M = np.zeros((K, K), dtype=np.int64)
+    for start in range(0, len(members), CHUNK):
+        xinv = inverse_rows(index.unrank(members[start:start + CHUNK]))
+        for k in range(K):
+            ranks = index.rank(xinv[:, rep_base[k]])
+            M[:, k] += np.bincount(table.class_id[ranks], minlength=K)
+    return M
+
+
+@pytest.mark.parametrize("key", [e.key for e in default_catalog()
+                                 if e.order <= 20_000])
+def test_class_matrix_rows_match_the_column_reference(key):
+    """Every row of every class matrix, and a descending subset of rows,
+    against the column reference, on each entry of order <= 20,000.  The
+    larger in-cap entries meet the reference through
+    `test_eigen_split_matches_reference_elimination`."""
+    table = harness.class_table_for(key)
+    K = len(table.classes)
+    some = np.arange(K)[::-2]  # a subset, descending
+    for i in range(K):
+        M = _reference_class_matrix(table, i)
+        assert (class_matrix(table, i, range(K)) == M).all()
+        assert (class_matrix(table, i, some) == M[some]).all()
+
+
+def test_class_matrix_rejects_counts_not_divisible_by_the_class_size(tables):
+    """Moving one member of an order-5 class of alt(5) into the other leaves
+    11 members: row 0 of M_i then counts 11 products in a class of 12."""
+    _, table, _ = tables("alt(5)")
+    a, b = [j for j, c in enumerate(table.classes) if c.order == 5]
+    assert (class_matrix(table, a, [0]) == np.eye(len(table))[a]).all()
+    class_id = table.class_id.copy()
+    class_id[np.flatnonzero(class_id == a)[0]] = b
+    moved = ClassTable(table.group, table.classes, class_id)
+    with pytest.raises(ConsistencyError, match="not integers"):
+        class_matrix(moved, a, [0])
+
+
+def test_character_table_rejects_rows_of_another_class(monkeypatch):
+    """alt(5)'s first class by size is 5A, and M_5B alone splits every
+    character, so rows of M_5B served for 5A split the space into the right
+    eigenvectors; but their eigenvalue is w[5B], not w[5A], and the check at
+    the computed rows must refuse the table."""
+    group, _ = entry_by_key("alt(5)").build()
+    table = conjugacy_classes(group)
+    a, b = [j for j, c in enumerate(table.classes) if c.order == 5]
+    swap = {a: b, b: a}
+    engine = chartab.class_matrix
+    monkeypatch.setattr(chartab, "class_matrix",
+                        lambda t, i, rows: engine(t, swap.get(i, i), rows))
+    with pytest.raises(ConsistencyError, match="at its computed rows"):
+        character_table(group, table)
+
+
 def _reference_solve_coords(B, Y, p):
     """X with B X = Y (mod p), one column of Y at a time, by scalar
     Gauss-Jordan elimination on [B | y]."""
@@ -497,7 +560,7 @@ def _reference_degrees_and_mod_values(table, P):
     for i in sorted(range(1, K), key=lambda i: (table.classes[i].size, i)):
         if all(B.shape[1] == 1 for B in subspaces):
             break
-        M = class_matrix(table, i) % P
+        M = _reference_class_matrix(table, i) % P
         refined = []
         for B in subspaces:
             m = B.shape[1]
@@ -588,8 +651,9 @@ def _vectors(p, k):
        st.data())
 def test_nullspace_is_the_whole_kernel(p, rows, m, data):
     A = _matrix(data.draw, p, rows, m)
-    N = _nullspace_mod(A, p)
+    N, free = _nullspace_mod(A, p)
     assert N.shape[0] == m and not (A @ N % p).any()
+    assert (N[free] == np.eye(len(free), dtype=np.int64)).all()
     # by brute force over GF(p)^m: |ker A| = p^(m - rank A), and the
     # columns of N are independent, so they span all of it
     kernel_size = int((~(A @ _vectors(p, m) % p).any(axis=0)).sum())
@@ -600,18 +664,75 @@ def test_nullspace_is_the_whole_kernel(p, rows, m, data):
         assert (N == _reference_nullspace(A, p)).all()
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([5, 7, 11]), st.integers(1, 4), st.integers(0, 3),
+       st.data())
+def test_eigen_split_reads_only_the_pivot_rows(p, m, extra, data):
+    """M = [[A, 0], [R A, 0]] with A = S D S^-1 maps the span of
+    B = [I_m; R] into itself (M B = B A); the parts split from the rows
+    M[:m] alone are the eigenspaces of M on that span, each the identity at
+    its pivot rows."""
+    K = m + extra
+    D = np.diag(data.draw(st.lists(st.integers(0, p - 1), min_size=m, max_size=m)))
+    S, _ = _full_rank(data.draw, p, m, m)
+    A = S @ D @ _reference_solve_coords(S, np.eye(m, dtype=np.int64), p) % p
+    B = np.vstack([np.eye(m, dtype=np.int64), _matrix(data.draw, p, extra, m)])
+    M = np.zeros((K, K), dtype=np.int64)
+    M[:, :m] = B @ A % p
+    assert (M @ B % p == B @ A % p).all()
+    pivots = np.arange(m)
+    parts = _eigen_split(B, pivots, M[pivots], p)
+    assert sum(len(R) for _, R in parts) == m
+    eigenvalues = []
+    for part, R in parts:
+        assert (part[R] == np.eye(len(R), dtype=np.int64)).all()
+        lam = int((M @ part % p)[R[0], 0])
+        assert (M @ part % p == lam * part % p).all()
+        eigenvalues.append(lam)
+    assert eigenvalues == sorted(set(np.diag(D).tolist()))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from([5, 7, 11]), st.integers(1, 4), st.integers(0, 3),
+       st.data())
+def test_eigen_split_returns_a_scalar_subspace_unchanged(p, m, extra, data):
+    """Rows M[:m] = [lam I, 0] of M = lam [I, 0; R, 0] give X = lam I on the
+    span of B = [I_m; R]: the subspace comes back as it went in, with no
+    characteristic polynomial, root scan or kernel; the coordinates are
+    still solved, so a basis that is not the identity at its pivot rows is
+    still refused."""
+    def never(*args):
+        raise AssertionError("eigen-solve on a scalar subspace")
+
+    lam = data.draw(st.integers(0, p - 1))
+    B = np.vstack([np.eye(m, dtype=np.int64), _matrix(data.draw, p, extra, m)])
+    rows = np.zeros((m, m + extra), dtype=np.int64)
+    rows[:, :m] = lam * np.eye(m, dtype=np.int64)
+    pivots = np.arange(m)
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_charpoly_mod", "_poly_roots_mod", "_nullspace_mod"):
+            mp.setattr(chartab, name, never)
+        [(part, R)] = _eigen_split(B, pivots, rows, p)
+        assert part is B and R is pivots
+        if m > 1:
+            singular = B.copy()
+            singular[1] = singular[0]
+            with pytest.raises(ConsistencyError, match="rank deficient"):
+                _eigen_split(singular, pivots, rows, p)
+
+
 @pytest.mark.parametrize("M", [[[1, 1], [0, 1]],    # Jordan block: one eigenvector
                                [[0, 2], [1, 0]]])   # x^2 - 2 has no root mod 11
 def test_eigen_split_rejects_a_matrix_not_diagonalizable(M):
     P = 11
     M = np.array(M, dtype=np.int64)
     B = np.array([[1, 0], [0, 1], [1, 1]], dtype=np.int64)  # invariant in 3 dims
+    pivots = np.arange(2)  # B[pivots] = I
     M3 = np.zeros((3, 3), dtype=np.int64)
     M3[:2, :2] = M
     M3[2, :2] = M.sum(axis=0)
     with pytest.raises(ConsistencyError, match="not diagonalizable over GF"):
-        _eigen_split(B[:2], M, P)
+        _eigen_split(B[:2], pivots, M[pivots], P)
     assert (M3 @ B % P == B @ M % P).all()
     with pytest.raises(ConsistencyError, match="not diagonalizable over GF"):
-        _eigen_split(B, M3, P)
-
+        _eigen_split(B, pivots, M3[pivots], P)
