@@ -33,7 +33,7 @@ def show(key: str) -> None:
 
     # cross-check the character-side Galois action against the class-side
     # power maps; any disagreement raises
-    brauer_cross_check(table, ct)
+    brauer_cross_check(ct)
 
     for p in factorize(group.order).primes():
         rep = character_count_report(ct, p)

@@ -24,7 +24,8 @@ from functools import lru_cache
 from math import factorial, gcd
 
 from . import gf
-from .numtheory import divisors, factorize, is_prime
+from .numtheory import (is_prime, multiplicative_order,
+                        prime_power_decomposition)
 from .permgroup import PermGroup, as_perm, compose, perm_from_cycles
 
 
@@ -151,7 +152,7 @@ def family_order(family: str, params: tuple) -> int:
         return q * (q * q - 1)
     if family == "pgammal2":
         q = params[0]
-        f = _field_exponent(q)
+        _, f = prime_power_decomposition(q)
         return q * (q * q - 1) * f
     if family == "sl2":
         q = params[0]
@@ -163,17 +164,6 @@ def family_order(family: str, params: tuple) -> int:
         q = params[0]
         return q**4 * (q**2 - 1) * (q**4 - 1) // gcd(2, q - 1)
     raise ValueError(f"unknown family {family!r}")
-
-
-def _field_exponent(q: int) -> int:
-    pairs = factorize(q).pairs
-    if len(pairs) != 1:
-        raise ValueError(f"{q} is not a prime power")
-    return pairs[0][1]
-
-
-def _field_char(q: int) -> int:
-    return factorize(q).pairs[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -195,17 +185,10 @@ def _build_frobenius(p, d):
     if not is_prime(p) or (p - 1) % d:
         raise ValueError("frobenius(p, d) requires p prime and d | p-1")
     mult = next(a for a in range(2, p)
-                if _mult_order(a, p) == d)
+                if multiplicative_order(a, p) == d)
     shift = as_perm([(i + 1) % p for i in range(p)], p)
     scale = as_perm([i * mult % p for i in range(p)], p)
     return PermGroup(p, [shift, scale], name=f"F{p * d}"), []
-
-
-def _mult_order(a, p):
-    for d in divisors(p - 1):
-        if pow(a, d, p) == 1:
-            return d
-    raise AssertionError
 
 
 def _build_sym(n):
@@ -240,7 +223,7 @@ def _sl2_matrices(F):
 
 def _projective_line(q):
     """GF(q), the points of PG(1, q) and their index."""
-    ell, f = factorize(q).pairs[0]
+    ell, f = prime_power_decomposition(q)
     F = gf.make_field(ell, f)
     points = projective_points(F, 2)
     return F, points, point_index(points)
@@ -290,7 +273,7 @@ def _build_pgammal2(q):
 def _sl2_points(q):
     """GF(q), the nonzero vectors of GF(q)^2 (the points of the sl2(q)
     catalog action) and their index."""
-    ell, f = factorize(q).pairs[0]
+    ell, f = prime_power_decomposition(q)
     F = gf.make_field(ell, f)
     vectors = [tuple(map(F.from_int, divmod(code, q))) for code in range(1, q * q)]
     return F, vectors, {v: i for i, v in enumerate(vectors)}
@@ -321,7 +304,7 @@ def _psl3_combined_perm(F, points, index, A):
 
 
 def _build_psl3(q):
-    ell, f = factorize(q).pairs[0]
+    ell, f = prime_power_decomposition(q)
     F = gf.make_field(ell, f)
     points = projective_points(F, 3)
     index = point_index(points)
@@ -357,7 +340,7 @@ def _build_sp4(q):
     t_v is the transvection x -> x + B(x, v) v."""
     if q not in (2, 3):
         raise ValueError("sp4 is built only for q in {2, 3}")
-    ell, f = factorize(q).pairs[0]
+    ell, f = prime_power_decomposition(q)
     F = gf.make_field(ell, f)
     points = projective_points(F, 4)
     index = point_index(points)

@@ -31,20 +31,25 @@ eigenvalue multiplicities of all characters on that class; one matrix
 product mod P per class replaces a scalar loop over (character, s, u).
 
 Row and column orthogonality are verified exactly before a table is returned
-(and again when a cached table is loaded) modulo auxiliary primes whose
-product exceeds a rigorous coefficient bound, which pins the cyclotomic
-integers down exactly.  Each distinct value is evaluated at z and z^-1 only,
-once per prime: once every generator of the units mod e is seen to permute
-the rows, the Galois action carries the check to every primitive e-th root.
+(and again when a cached table is loaded) modulo auxiliary primes Q = 1
+(mod e).  An inner product minus its constant is a cyclotomic integer beta
+whose conjugates are all at most S (the coefficient mass plus |G|) in
+absolute value; if it vanishes mod Q at every embedding zeta -> z^k, it lies
+in Q Z[zeta], so once the product of the primes exceeds S its norm forces
+beta = 0.  Each distinct value is evaluated at z and z^-1 only, once per
+prime: once every generator of the units mod e is seen to permute the rows,
+the Galois action carries the check to every primitive e-th root.
 
-Galois-theoretic classification (rational, p-rational, p'-rational,
-Q_p-valued characters) reads one boolean table fixed[value, unit] over the
-distinct values of the table.  sigma_k sends the entry (s, m_s) of a value v
-to (s*k mod e, m_s); k is a unit, so this maps the support injectively onto
-a set of the same size, and v is fixed iff v[s*k mod e] = m_s for every
-entry of v.  The table is filled by exact index arithmetic on the flattened
-supports, and the Brauer cross-check compares its column sums with the
-classes fixed by g -> g^k, read from the power table.
+Every question "fixed by the subgroup {k = 1 mod m} of the units mod e" is
+read off a table over the units by masking its columns.  On the character
+side (rational, p-rational, p'-rational, Q_p-valued characters) it is
+fixed[value, unit] over the distinct values of the table: sigma_k sends the
+entry (s, m_s) of a value v to (s*k mod e, m_s); k is a unit, so this maps
+the support injectively onto a set of the same size, and v is fixed iff
+v[s*k mod e] = m_s for every entry of v.  It is filled by exact index
+arithmetic on the flattened supports.  On the class side it is
+fixed[class, unit], read from the power table, and the Brauer cross-check
+compares the two.
 """
 
 from dataclasses import dataclass
@@ -53,11 +58,10 @@ from math import gcd
 
 import numpy as np
 
-from .numtheory import (cyclotomic_coeffs, divisors, factorize, is_prime,
-                        p_part)
+from .numtheory import (divisors, factorize, is_prime, p_part,
+                        primitive_root)
 from .permgroup import (CHUNK, ClassTable, ConsistencyError, PermGroup,
-                        ResourceLimitError, _primitive_root, class_counts,
-                        power_class_map)
+                        ResourceLimitError, class_counts, power_class_map)
 
 MAX_CLASSES = 80
 MAX_ORDER = 3_000_000
@@ -111,6 +115,20 @@ def _units(e: int) -> np.ndarray:
     return np.array([k for k in range(e) if gcd(k, e) == 1], dtype=np.int64)
 
 
+def _unit_generators(e: int) -> list[int]:
+    """Generators of the units mod e, none equal to 1: for each p^a || e, a
+    primitive root mod p^a (or -1 and 5 mod 2^a, a >= 3, where there is
+    none), lifted by CRT to 1 mod the rest of e."""
+    gens = []
+    for p, a in factorize(e).pairs:
+        pa = p**a
+        rest = e // pa
+        local = [primitive_root(pa)] if p > 2 or a < 3 else [pa - 1, 5]
+        gens += [(g * rest * pow(rest, -1, pa) + pa * pow(pa, -1, rest)) % e
+                 for g in local]
+    return [g for g in gens if g != 1 % e]
+
+
 def _intern(values) -> tuple[list[CycValue], np.ndarray]:
     """The distinct values of a table, and the matrix of their indices."""
     ids: dict[CycValue, int] = {}
@@ -162,41 +180,24 @@ def galois_fixed_table(values, e: int) -> tuple[np.ndarray, np.ndarray]:
     return units, fixed
 
 
+def galois_fixed_classes(power, units: np.ndarray) -> np.ndarray:
+    """fixed[j, u]: g -> g^units[u] fixes class j, read off the power table
+    as power[j][units[u] mod o_j] == j."""
+    return np.stack([pw[units % len(pw)] == j for j, pw in enumerate(power)])
+
+
+def _fixed_mod(fixed: np.ndarray, units: np.ndarray, m: int) -> np.ndarray:
+    """Per row of fixed[row, u]: fixed by every unit k = 1 (mod m), the
+    columns of that subgroup of the units."""
+    return fixed[:, units % m == 1 % m].all(axis=1)
+
+
 def _evaluations(values, e: int, q: int, ks: np.ndarray) -> np.ndarray:
     """[v, i]: values[v] at zeta -> z^ks[i] mod q, z as in `_root_powers`."""
     z = _root_powers(q, e)
     _, s, m, bounds = _support_entries(values)
     terms = z[s[:, None] * ks[None, :] % e] * m[:, None] % q
     return _segment_sums(terms, bounds) % q
-
-
-# ---------------------------------------------------------------------------
-# cyclotomic reduction height (for the exact zero test bound)
-# ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _reduction_height(e: int) -> int:
-    """max over t < e of the coefficient height of x^t mod Phi_e."""
-    phi = cyclotomic_coeffs(e)
-    deg = len(phi) - 1
-    if deg == 0:
-        return 1
-    rest = np.array(phi[:-1], dtype=np.int64)  # Phi_e is monic
-    r = np.zeros(deg, dtype=np.int64)
-    r[0] = 1
-    height = 1
-    for _ in range(e - 1):
-        top = r[deg - 1]
-        r[1:] = r[:-1]
-        r[0] = 0
-        if top:
-            r -= top * rest
-        m = int(np.abs(r).max())
-        if m > height:
-            height = m
-        if height > 1 << 31:
-            raise ConsistencyError("cyclotomic reduction height overflow")
-    return height
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +215,7 @@ def dixon_prime(e: int, group_order: int) -> int:
 
 def _root_of_unity(p: int, e: int) -> int:
     """A primitive e-th root of unity mod p (requires e | p-1)."""
-    g = _primitive_root(p)
+    g = primitive_root(p)
     return pow(g, (p - 1) // e, p)
 
 
@@ -430,17 +431,6 @@ class CharacterTable:
         units, fixed = galois_fixed_table(distinct, self.exponent)
         return units, np.stack([fixed[ids].all(axis=0) for ids in value_id])
 
-    def fixed_by(self, ks) -> np.ndarray:
-        """Per character: fixed by sigma_k for every k in ks (units mod e)."""
-        units, rows_fixed = self._galois
-        ks = np.asarray(ks, dtype=np.int64) % self.exponent
-        if not np.isin(ks, units).all():
-            raise ValueError(f"not all of {ks.tolist()} are units mod {self.exponent}")
-        return rows_fixed[:, np.searchsorted(units, ks)].all(axis=1)
-
-    def fixed_count(self, k: int) -> int:
-        return int(self.fixed_by([k]).sum())
-
 
 def _matmul_mod(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     """A @ B mod p for entries in [0, p), in int64 without overflow."""
@@ -551,9 +541,15 @@ def character_table(group: PermGroup, table: ClassTable) -> CharacterTable:
     _check_mod_orthogonality(mod_values, sizes, inv_class, n, P)
 
     # --- exact lift, canonical ordering by (degree, lexicographic values) --
+    # rows compare as their tuples of value ranks, each distinct value
+    # ranked once by its dense key
     values = _lift(mod_values, degrees, power, e, P)
-    order = sorted(range(K), key=lambda r: (
-        degrees[r], tuple(v.dense_key() for v in values[r])))
+    distinct, value_id = _intern(values)
+    by_key = sorted(range(len(distinct)), key=lambda v: distinct[v].dense_key())
+    rank = np.empty(len(distinct), dtype=np.int64)
+    rank[by_key] = np.arange(len(distinct))
+    ranks = rank[value_id].tolist()
+    order = sorted(range(K), key=lambda r: (degrees[r], ranks[r]))
     values = tuple(values[i] for i in order)
     degrees = [degrees[i] for i in order]
     mod_values = mod_values[order]
@@ -576,10 +572,15 @@ def _check_mod_orthogonality(chi: np.ndarray, sizes, inv_class, n, P):
 def _verify_exact_orthogonality(ct: CharacterTable):
     """Exact row and column orthogonality over the cyclotomic integers.
 
-    Each inner product B equals its rational constant c iff B - c vanishes
-    at every primitive e-th root of unity modulo auxiliary primes Q_i = 1
-    mod e whose product exceeds twice a rigorous bound on the coefficients
-    of B - c reduced mod Phi_e.
+    Each inner product B equals its rational constant c iff beta = B - c is
+    0.  beta is a sum of roots of unity with integer coefficients of total
+    absolute value at most S = (row or column mass) + n, so every conjugate
+    has |sigma(beta)| <= S.  A prime Q = 1 (mod e) splits completely in
+    Z[zeta], into the primes (Q, zeta - z^k) for the units k, so if beta
+    vanishes mod Q at every embedding zeta -> z^k, then beta lies in
+    Q Z[zeta].  Over auxiliary primes Q_i, beta lies in (prod Q_i) Z[zeta];
+    a nonzero beta would then have |N(beta)| >= (prod Q_i)^phi(e), against
+    |N(beta)| <= S^phi(e).  So prod Q_i > S forces beta = 0.
 
     Only zeta -> z^(+-1) is evaluated; the Galois action gives the other
     embeddings.  The values are the lift of mod_values: a fresh build has
@@ -594,20 +595,18 @@ def _verify_exact_orthogonality(ct: CharacterTable):
     n = ct.table.group.order
     sizes = np.array(ct.table.sizes, dtype=np.int64)
     rows = sorted(map(tuple, ct.mod_values.tolist()))
-    for k in _congruence_subgroup_generators(e, 1):
+    for k in _unit_generators(e):
         mapped = ct.mod_values[:, power_class_map(ct.table, k)]
         if sorted(map(tuple, mapped.tolist())) != rows:
             raise ConsistencyError(f"exact row orthogonality failed: sigma_{k} "
                                    "does not permute the rows")
     max_d = max(ct.degrees)
-    height = _reduction_height(e)
-    # coefficient mass of any inner product vector, before reduction
+    # coefficient mass of any inner product; the constant adds at most n
     mass_row = int(np.sum(sizes)) * max_d * max_d
     mass_col = sum(d * d for d in ct.degrees)
-    bound = 2 * (max(mass_row, mass_col) + n) * height
     distinct, value_id = ct._interned
     eye = np.eye(len(ct.degrees), dtype=np.int64)
-    for Q in _aux_primes(e, bound):
+    for Q in _aux_primes(e, max(mass_row, mass_col) + n):
         # the value matrices at zeta -> zq and zeta -> zq^-1, each distinct
         # value evaluated once; [embedding][character][class]
         A = _evaluations(distinct, e, Q, np.array([1, e - 1])).T[:, value_id]
@@ -633,53 +632,15 @@ class RationalityFlags:
     is_Qp_valued: bool
 
 
-def _congruence_subgroup_generators(e: int, m: int) -> list[int]:
-    """Generators of {k in U(e) : k = 1 (mod m)} for m | e."""
-    gens = []
-    for p, a in factorize(e).pairs:
-        pa = p**a
-        b = 0
-        mm = m
-        while mm % p == 0:
-            mm //= p
-            b += 1
-        rest = e // pa
-        # CRT: g mod p^a, 1 mod rest
-        gens += [(g * rest * pow(rest, -1, pa) + pa * pow(pa, -1, rest)) % e
-                 for g in _local_unit_gens(p, a, b)]
-    return [g for g in gens if g != 1 % e]
-
-
-def _local_unit_gens(p: int, a: int, b: int) -> list[int]:
-    """Generators of {u in U(p^a) : u = 1 (mod p^b)}."""
-    pa = p**a
-    if b >= a:
-        return []
-    if p == 2:
-        if b >= 2:
-            return [(1 + 2**b) % pa] if a > b else []
-        # b in {0, 1}: the full unit group U(2^a)
-        if a == 1:
-            return []
-        if a == 2:
-            return [3]
-        return [pa - 1, 5]
-    if b == 0:
-        return [_primitive_root(pa)]
-    return [(1 + p**b) % pa]
-
-
 def classify_rationality(ct: CharacterTable, p: int) -> list[RationalityFlags]:
+    """Rational, p-rational, p'-rational and Q_p-valued: fixed by every unit
+    k mod e with k = 1 mod 1, e_p', e_p and gcd(e, p) respectively."""
     e = ct.exponent
     e_p = p_part(e, p)
-    e_pp = e // e_p
-    gens_all = _congruence_subgroup_generators(e, 1)
-    gens_p_rat = _congruence_subgroup_generators(e, e_pp)
-    gens_pp_rat = _congruence_subgroup_generators(e, e_p)
-    gens_qp = _congruence_subgroup_generators(e, gcd(e, p))
+    units, rows_fixed = ct._galois
     flags = []
-    columns = zip(*(ct.fixed_by(gens).tolist() for gens in
-                    (gens_all, gens_p_rat, gens_pp_rat, gens_qp)))
+    columns = zip(*(_fixed_mod(rows_fixed, units, m).tolist()
+                    for m in (1, e // e_p, e_p, gcd(e, p))))
     for r, rp, rpp, qp in columns:
         if r != (rp and rpp):
             raise ConsistencyError("rationality flags are inconsistent")
@@ -724,36 +685,36 @@ def character_count_report(ct: CharacterTable, p: int) -> CharacterCounts:
 # Brauer cross-check
 # ---------------------------------------------------------------------------
 
-def brauer_cross_check(table: ClassTable, ct: CharacterTable) -> None:
+def brauer_cross_check(ct: CharacterTable) -> None:
     """For every Galois element sigma_k: the number of fixed characters must
-    equal the number of classes fixed by g -> g^k; for odd p dividing |G|,
-    the p-rational character count must match the permutation-side count and
-    dominate k_{p'}.  Any mismatch is a hard engine failure.  The class side
-    reads ct.power, so table must be the class table ct was built on."""
-    from .permgroup import galois_fixed_class_count
-    if table is not ct.table:
-        raise ValueError("the character table was built on another class table")
+    equal the number of classes fixed by g -> g^k, read from the power table
+    ct was built from; for odd p dividing |G|, the characters fixed by
+    {k = 1 mod e_p'} (the p-rational ones) must be as many as the classes it
+    fixes and at least k_{p'}.  That subgroup is cyclic for odd p only (by
+    Brauer's permutation lemma both counts are then those of a generator).
+    Any mismatch is a hard engine failure."""
     units, rows_fixed = ct._galois
-    chars_fixed = rows_fixed.sum(axis=0)
-    # class j is fixed by g -> g^k iff power[j][k mod o_j] == j
-    classes_fixed = sum(pw[units % len(pw)] == j for j, pw in enumerate(ct.power))
-    bad = np.flatnonzero(chars_fixed != classes_fixed)
+    classes_fixed = galois_fixed_classes(ct.power, units)
+    chars_count = rows_fixed.sum(axis=0)
+    classes_count = classes_fixed.sum(axis=0)
+    bad = np.flatnonzero(chars_count != classes_count)
     if len(bad):
         u = bad[0]
         raise ConsistencyError(
-            f"Brauer count mismatch at k={units[u]}: {chars_fixed[u]} characters "
-            f"vs {classes_fixed[u]} classes")
-    n = table.group.order
-    for p in factorize(n).primes():
-        if p == 2 or table.exponent % p:
+            f"Brauer count mismatch at k={units[u]}: {chars_count[u]} characters "
+            f"vs {classes_count[u]} classes")
+    e = ct.exponent
+    for p in factorize(ct.table.group.order).primes():
+        if p == 2 or e % p:
             continue
-        table_count = character_count_report(ct, p).n_p_rational
-        class_count = galois_fixed_class_count(table, p)
+        e_pp = e // p_part(e, p)
+        table_count = int(_fixed_mod(rows_fixed, units, e_pp).sum())
+        class_count = int(_fixed_mod(classes_fixed, units, e_pp).sum())
         if table_count != class_count:
             raise ConsistencyError(
                 f"p-rational count mismatch at p={p}: table {table_count} "
                 f"vs classes {class_count}")
-        if table_count < class_counts(table, p).k_p_prime:
+        if table_count < class_counts(ct.table, p).k_p_prime:
             raise ConsistencyError(
                 f"p-rational count below k_p' at p={p}")
 
@@ -863,9 +824,8 @@ def load_character_table(table: ClassTable, path) -> CharacterTable:
 
 __all__ = [
     "CycValue", "CharacterTable", "RationalityFlags", "CharacterCounts",
-    "MAX_CLASSES", "MAX_ORDER", "cyclotomic_coeffs", "dixon_prime",
-    "class_matrix",
+    "MAX_CLASSES", "MAX_ORDER", "dixon_prime", "class_matrix",
     "character_table", "classify_rationality", "character_count_report",
-    "galois_fixed_table",
+    "galois_fixed_table", "galois_fixed_classes",
     "brauer_cross_check", "save_character_table", "load_character_table",
 ]

@@ -324,7 +324,7 @@ def verify_theorem3(entries=None) -> VerificationReport:
         ct = character_table_for(e.key)
         # engine cross-check: Galois fixed characters vs power-map fixed
         # classes, for every unit; hard failure raises
-        chartab.brauer_cross_check(table, ct)
+        chartab.brauer_cross_check(ct)
         cases.append(CaseRecord(
             id=f"thm3:{e.key}:galois-cross-check", group=e.key, p=None,
             computed={"characters": len(ct.degrees)}, expected=None,

@@ -13,7 +13,8 @@ from math import gcd
 
 from .numtheory import (EQUAL, GREATER, LESS, Enclosure, cyclotomic_value,
                         divisors, e_enclosure, euler_phi, factorize, is_prime,
-                        odd_partition_count, partition_count, sqrt_enclosure,
+                        odd_partition_count, partition_count,
+                        prime_power_decomposition, sqrt_enclosure,
                         twisted_cyclotomic)
 
 INDETERMINATE = 2
@@ -27,16 +28,6 @@ _HALF_EXPONENT_FAMILIES = {"2B2", "2G2", "2F4"}
 
 _EXCEPTIONAL_RANK = {"G2": 2, "2B2": 2, "2G2": 2, "F4": 4, "2F4": 4,
                      "3D4": 4, "E6": 6, "2E6": 6, "E7": 7, "E8": 8}
-
-
-def prime_power_decomposition(q: int) -> tuple[int, int]:
-    """(ell, f) with q = ell^f, ell prime; rejects non-prime-powers."""
-    if q < 2:
-        raise ValueError("q must be at least 2")
-    fac = factorize(q)
-    if len(fac.pairs) != 1:
-        raise ValueError(f"{q} is not a prime power")
-    return fac.pairs[0]
 
 
 @dataclass(frozen=True)
@@ -625,7 +616,7 @@ def grid_certify(claim_id: str, grid=None):
 
 __all__ = [
     "FAMILIES", "INDETERMINATE", "LieParams", "BoundCertificate",
-    "GridClaim", "ExceptionalData", "prime_power_decomposition",
+    "GridClaim", "ExceptionalData",
     "prime_powers", "semisimple_class_count", "thm4_certify",
     "psl_torus_orbit_bound", "ssc_torus_bounds", "ssc_multi_torus_pprime",
     "min_centralizer_H", "symplectic_kpprime_lower",

@@ -1,7 +1,8 @@
 """Exact integer and rational arithmetic primitives.
 
 Factorization, totients, cyclotomic polynomial coefficients and values
-(including the twisted Suzuki/Ree variants), partition counts, primitive
+(including the twisted Suzuki/Ree variants), prime-power decompositions,
+multiplicative orders and primitive roots, partition counts, primitive
 prime divisors, and exact comparison of integers against the irrational
 thresholds 2*sqrt(p-1) and 2*(p-1)**(1/4).  Everything here is
 integer/rational arithmetic; no floating point is used anywhere.
@@ -149,6 +150,39 @@ def euler_phi(n: int) -> int:
     for p, _ in factorize(n).pairs:
         result = result // p * (p - 1)
     return result
+
+
+def prime_power_decomposition(q: int) -> tuple[int, int]:
+    """(ell, f) with q = ell^f, ell prime; rejects non-prime-powers."""
+    if q < 2:
+        raise ValueError("q must be at least 2")
+    fac = factorize(q)
+    if len(fac.pairs) != 1:
+        raise ValueError(f"{q} is not a prime power")
+    return fac.pairs[0]
+
+
+def multiplicative_order(a: int, m: int) -> int:
+    """The least d >= 1 with a^d = 1 (mod m); a must be a unit mod m."""
+    if m < 1 or gcd(a, m) != 1:
+        raise ValueError(f"{a} is not a unit modulo {m}")
+    order = euler_phi(m)
+    for p in factorize(order).primes():
+        while order % p == 0 and pow(a, order // p, m) == 1 % m:
+            order //= p
+    return order
+
+
+@lru_cache(maxsize=None)
+def primitive_root(m: int) -> int:
+    """The least g >= 1 whose powers are all the units mod m (m = 1, 2, 4,
+    p^a or 2 p^a); raises ValueError for any other m."""
+    phi = euler_phi(m)
+    prime_divs = factorize(phi).primes()
+    for g in range(1, max(m, 2)):
+        if gcd(g, m) == 1 and all(pow(g, phi // q, m) != 1 for q in prime_divs):
+            return g
+    raise ValueError(f"no primitive root mod {m}")
 
 
 def p_part(n: int, p: int) -> int:
@@ -308,14 +342,7 @@ def is_primitive_prime_divisor(p: int, q: int, n: int) -> bool:
         raise ValueError("p must be prime")
     if q < 2 or n < 1:
         raise ValueError("require q >= 2, n >= 1")
-    if q % p == 0:
-        return False
-    if pow(q, n, p) != 1:
-        return False
-    for d in divisors(n):
-        if d < n and pow(q, d, p) == 1:
-            return False
-    return True
+    return q % p != 0 and multiplicative_order(q, p) == n
 
 
 # ---------------------------------------------------------------------------
@@ -434,6 +461,7 @@ __all__ = [
     "Factorization", "Enclosure", "factorize", "is_prime", "euler_phi",
     "p_part", "cyclotomic_coeffs", "cyclotomic_value", "twisted_cyclotomic",
     "divisors", "partition_count", "odd_partition_count",
-    "is_primitive_prime_divisor", "cmp_threshold", "LESS", "EQUAL", "GREATER",
+    "is_primitive_prime_divisor", "multiplicative_order", "primitive_root",
+    "prime_power_decomposition", "cmp_threshold", "LESS", "EQUAL", "GREATER",
     "e_enclosure", "sqrt_enclosure", "gcd", "lcm",
 ]

@@ -11,14 +11,14 @@ Schreier generators are sifted as batches of rows, and each level is stored
 once, as arrays that the rank index reads too), a rank index on the
 chain that numbers the elements 0..|G|-1, conjugacy classes labelled over
 those ranks by array operations (a class table is one class id per rank),
-p-part decomposition, class counts, power maps on classes, the Galois
-fixed-class count, and quotient groups by coset action (a coset xN is named
+p-part decomposition, class counts, power maps on classes, and quotient
+groups by coset action (a coset xN is named
 by its canonical member, the one with the least base images on N's chain,
 and the cosets are enumerated in batches of rows).
 """
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, reduce
 from math import gcd, lcm
 
 import numpy as np
@@ -775,39 +775,6 @@ def power_class_map(table: ClassTable, k: int) -> list[int]:
     return [int(pw[k % len(pw)]) for pw in table.power]
 
 
-def galois_fixed_class_count(table: ClassTable, p: int) -> int:
-    """Number of classes fixed by a Galois element sigma_k with k = 1 mod the
-    p'-part of the exponent and k generating the units mod the p-part.
-
-    Odd p only (the unit group mod 2^a is not cyclic)."""
-    if p == 2:
-        raise ValueError("p = 2 not supported; use the character table instead")
-    e = table.exponent
-    e_p = p_part(e, p)
-    if e_p == 1:
-        raise ValueError(f"p={p} does not divide the group exponent")
-    e_pp = e // e_p
-    g0 = _primitive_root(e_p)
-    # CRT: k = g0 mod e_p, k = 1 mod e_pp
-    k = (g0 * e_pp * pow(e_pp, -1, e_p) + e_p * pow(e_p, -1, e_pp)) % e
-    mapping = power_class_map(table, k)
-    return sum(1 for i, j in enumerate(mapping) if i == j)
-
-
-@lru_cache(maxsize=None)
-def _primitive_root(m: int) -> int:
-    """Least primitive root modulo m = p^a, p odd."""
-    from .numtheory import euler_phi, factorize
-    phi = euler_phi(m)
-    prime_divs = factorize(phi).primes()
-    for g in range(2, m):
-        if gcd(g, m) != 1:
-            continue
-        if all(pow(g, phi // q, m) != 1 for q in prime_divs):
-            return g
-    raise ValueError(f"no primitive root mod {m}")
-
-
 # ---------------------------------------------------------------------------
 # quotient groups
 # ---------------------------------------------------------------------------
@@ -958,7 +925,7 @@ __all__ = [
     "inverse_rows", "conjugate", "perm_power", "perm_order", "is_identity",
     "perm_key", "conjugacy_classes", "check_class_cap",
     "orbit_labels", "p_part_split", "class_counts",
-    "power_class_map", "galois_fixed_class_count", "quotient_group",
+    "power_class_map", "quotient_group",
     "burnside_class_count", "save_class_table", "load_class_table",
     "CLASS_CAP", "CHUNK",
 ]

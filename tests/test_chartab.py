@@ -13,22 +13,21 @@ from hypothesis import strategies as st
 from regclass import chartab, harness
 from regclass.catalog import default_catalog, entry_by_key
 from regclass.chartab import (CHUNK, CycValue, RationalityFlags,
-                              _aux_primes, _charpoly_mod,
-                              _congruence_subgroup_generators, _eigen_split,
+                              _aux_primes, _charpoly_mod, _eigen_split,
                               _evaluations, _intern, _nullspace_mod,
-                              _reduction_height, _root_powers, _solve_coords,
+                              _root_powers, _solve_coords, _unit_generators,
                               _units,
                               _verify_exact_orthogonality, brauer_cross_check,
                               character_count_report, character_table,
-                              class_matrix, classify_rationality,
-                              cyclotomic_coeffs, dixon_prime,
+                              class_matrix, classify_rationality, dixon_prime,
                               galois_fixed_table, load_character_table,
                               save_character_table)
-from regclass.numtheory import EQUAL, GREATER, divisors, factorize, p_part
+from regclass.numtheory import (EQUAL, GREATER, cyclotomic_coeffs, divisors,
+                                factorize, p_part, primitive_root)
 from regclass.permgroup import (ClassTable, ConsistencyError,
                                 ResourceLimitError, class_counts,
-                                conjugacy_classes, galois_fixed_class_count,
-                                inverse_rows, perm_power)
+                                conjugacy_classes, inverse_rows, perm_power,
+                                power_class_map)
 
 # degree multisets frozen from standard character-table references
 KNOWN_DEGREES = {
@@ -85,19 +84,29 @@ def test_identity_column_and_linear_characters(tables, key):
                                  "sl2(5)", "frobenius(5,2)", "cyclic(12)",
                                  "dihedral(7)"])
 def test_brauer_cross_check(tables, key):
-    _, table, ct = tables(key)
-    brauer_cross_check(table, ct)  # raises on any Galois mismatch
+    _, _, ct = tables(key)
+    brauer_cross_check(ct)  # raises on any Galois mismatch
 
 
 @pytest.mark.parametrize("key", ["alt(5)", "psl2(7)", "psl2(11)", "sl2(5)",
                                  "frobenius(5,2)", "dihedral(7)"])
 def test_p_rational_count_matches_class_side(tables, key):
+    """For odd p, {k = 1 mod e_p'} is cyclic, generated by the k that is a
+    primitive root mod e_p and 1 mod e_p' (CRT); by Brauer's permutation
+    lemma the p-rational characters are as many as the classes g -> g^k
+    fixes."""
     group, table, ct = tables(key)
+    e = table.exponent
     for p in factorize(group.order).primes():
-        if p == 2 or p_part(table.exponent, p) == 1:
+        if p == 2 or p_part(e, p) == 1:
             continue
         rep = character_count_report(ct, p)
-        assert rep.n_p_rational == galois_fixed_class_count(table, p)
+        e_p = p_part(e, p)
+        e_pp = e // e_p
+        k = (primitive_root(e_p) * e_pp * pow(e_pp, -1, e_p)
+             + e_p * pow(e_p, -1, e_pp)) % e
+        fixed = sum(j == i for i, j in enumerate(power_class_map(table, k)))
+        assert rep.n_p_rational == fixed
         assert rep.n_p_rational >= class_counts(table, p).k_p_prime
 
 
@@ -234,12 +243,14 @@ def _reference_lift(ct):
 def _reference_exact_orthogonality(ct, sizes, n):
     """The exact check evaluated at every unit k mod e, without the Galois
     argument: both Gram matrices of the values at zeta -> zq^k and zeta ->
-    zq^-k must be n I and n diag(1/|C_j|) mod each auxiliary prime."""
+    zq^-k must be n I and n diag(1/|C_j|) mod each auxiliary prime, whose
+    product exceeds the norm bound S on every conjugate of an inner product
+    minus its constant."""
     e, K = ct.exponent, len(ct)
     max_d = max(ct.degrees)
     mass_row = int(np.sum(sizes)) * max_d * max_d
     mass_col = sum(d * d for d in ct.degrees)
-    bound = 2 * (max(mass_row, mass_col) + n) * _reduction_height(e)
+    bound = max(mass_row, mass_col) + n
     distinct, value_id = _intern(ct.values)
     units = _units(e)
     conj = np.searchsorted(units, -units % e)  # column of -k for unit k
@@ -273,14 +284,16 @@ def _reference_fixed(ct, ks):
     return out
 
 
-def _reference_flags(ct, p):
+def _reference_flags(ct, p, reference):
+    """The flags read from reference = {k: per character, fixed by sigma_k}
+    (see `_reference_fixed`) at every unit k of each subgroup {k = 1 mod m}
+    of the units mod e."""
     e = ct.exponent
     e_p = p_part(e, p)
 
     def fixed(m):
-        gens = _congruence_subgroup_generators(e, m)
-        return [all(f) for f in zip([True] * len(ct),
-                                    *_reference_fixed(ct, gens).values())]
+        return [all(f) for f in zip(*(row for k, row in reference.items()
+                                      if k % m == 1 % m))]
 
     return [RationalityFlags(*f) for f in zip(
         fixed(1), fixed(e // e_p), fixed(e_p), fixed(gcd(e, p)))]
@@ -300,11 +313,12 @@ def test_lift_and_galois_table_match_scalar_references(key):
     _verify_exact_orthogonality(ct)
     _reference_exact_orthogonality(ct, sizes, group.order)
     e = ct.exponent
-    units = [k for k in range(1, max(e, 2)) if gcd(k, e) == 1]
-    for k, fixed in _reference_fixed(ct, units).items():
-        assert ct.fixed_count(k) == sum(fixed)
+    units = [k for k in range(e) if gcd(k, e) == 1]  # [0] when e = 1
+    reference = _reference_fixed(ct, units)
+    assert ct._galois[0].tolist() == units
+    assert ct._galois[1].T.tolist() == list(reference.values())
     for p in factorize(group.order).primes():
-        assert classify_rationality(ct, p) == _reference_flags(ct, p)
+        assert classify_rationality(ct, p) == _reference_flags(ct, p, reference)
 
 
 @st.composite
@@ -341,6 +355,72 @@ def test_galois_fixed_table_matches_galois(case):
     assert units.tolist() == [k for k in range(e) if gcd(k, e) == 1]
     expected = [[v.galois(int(k)) == v for k in units] for v in values]
     assert fixed.tolist() == expected
+
+
+def test_unit_generators_generate_the_units():
+    """The exact check lets the generators stand for every unit: for each
+    e <= 300 their closure under multiplication mod e is all of the units,
+    and none of them is 1."""
+    for e in range(1, 301):
+        gens = _unit_generators(e)
+        assert 1 % e not in gens
+        reached, frontier = {1 % e}, {1 % e}
+        while frontier:
+            frontier = {x * g % e for x in frontier for g in gens} - reached
+            reached |= frontier
+        assert sorted(reached) == _units(e).tolist()
+
+
+@st.composite
+def _cyclotomic_integers(draw):
+    """(e, c) for beta = sum_s c[s] zeta^s: integer multiples of vanishing
+    sums zeta^a (1 + zeta^(e/p) + ... + zeta^((p-1)e/p)), p a prime dividing
+    e, optionally perturbed at one index."""
+    e = draw(st.integers(1, 60))
+    c = [0] * e
+    primes = factorize(e).primes()
+    for _ in range(draw(st.integers(0, 5)) if primes else 0):
+        p = draw(st.sampled_from(primes))
+        a = draw(st.integers(0, e - 1))
+        mult = draw(st.integers(-20, 20))
+        for t in range(p):
+            c[(a + t * (e // p)) % e] += mult
+    if draw(st.booleans()):
+        c[draw(st.integers(0, e - 1))] += draw(st.integers(-3, 3))
+    return e, c
+
+
+def _reduce_mod_cyclotomic(c, e):
+    """The coefficients of sum_s c[s] x^s mod Phi_e, by long division."""
+    phi = cyclotomic_coeffs(e)  # monic, constant first
+    deg = len(phi) - 1
+    r = list(c)
+    for top in range(len(r) - 1, deg - 1, -1):
+        q = r[top]
+        for i, f in enumerate(phi):
+            r[top - deg + i] -= q * f
+    return r[:deg]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cyclotomic_integers())
+def test_norm_bound_decides_vanishing(case):
+    """|sigma(beta)| <= S = sum |c_s| for every conjugate, so beta vanishes
+    mod primes Q = 1 (mod e) of product > S at every embedding zeta -> z^k,
+    k a unit, iff beta = 0, i.e. iff sum c_s x^s is 0 mod Phi_e: both for
+    the primes of `_aux_primes(e, S)` and for the least single prime Q > S."""
+    e, c = case
+    S = sum(map(abs, c))
+    least = next(q for q in itertools.count(S + 1)
+                 if q % e == 1 % e and sympy.isprime(q))
+    is_zero = not any(_reduce_mod_cyclotomic(c, e))
+    for primes in (_aux_primes(e, S), [least]):
+        assert np.prod(primes, dtype=object) > S
+        vanishes = all(
+            sum(cs * int(z[s * k % e]) for s, cs in enumerate(c)) % Q == 0
+            for Q in primes for z in [_root_powers(Q, e)]
+            for k in _units(e).tolist())
+        assert vanishes == is_zero
 
 
 def test_exact_orthogonality_rejects_a_galois_conjugate_cell(tables):
@@ -382,12 +462,12 @@ def test_character_values_cannot_be_edited_in_place(tables):
     from are immutable: an in-place cell edit raises instead of leaving the
     cache stale."""
     _, _, ct = tables("alt(5)")
-    counts = [ct.fixed_count(k) for k in (1, 7, 11)]
+    counts = ct._galois[1].sum(axis=0).tolist()
     with pytest.raises(TypeError):
         ct.values[1][1] = ct.values[1][1].galois(7)
     with pytest.raises(dataclasses.FrozenInstanceError):
         ct.values = ()
-    assert [ct.fixed_count(k) for k in (1, 7, 11)] == counts
+    assert ct._galois[1].sum(axis=0).tolist() == counts
 
 
 def test_brauer_cross_check_rejects_a_wrong_power_map(tables):
@@ -400,15 +480,7 @@ def test_brauer_cross_check_rejects_a_wrong_power_map(tables):
     power[j] = np.full(7, j)
     power[j][0] = 0
     with pytest.raises(ConsistencyError, match="Brauer count mismatch at k=5"):
-        brauer_cross_check(table, dataclasses.replace(ct, power=power))
-
-
-def test_brauer_cross_check_rejects_a_foreign_class_table(tables):
-    """The class side reads the power table stored with the character
-    table, so a class table other than the one it was built on is refused."""
-    group, _, ct = tables("psl2(7)")
-    with pytest.raises(ValueError, match="another class table"):
-        brauer_cross_check(conjugacy_classes(group), ct)
+        brauer_cross_check(dataclasses.replace(ct, power=power))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ from regclass.numtheory import (EQUAL, GREATER, LESS, Enclosure,
                                 cmp_threshold, cyclotomic_value, divisors,
                                 e_enclosure, euler_phi, factorize, is_prime,
                                 is_primitive_prime_divisor,
-                                odd_partition_count, p_part, partition_count,
+                                multiplicative_order, odd_partition_count,
+                                p_part, partition_count, primitive_root,
                                 sqrt_enclosure, twisted_cyclotomic)
 
 
@@ -137,6 +138,30 @@ def test_odd_partition_count_brute(n):
 def test_partition_fixed_values():
     assert [partition_count(n) for n in range(8)] == [1, 1, 2, 3, 5, 7, 11, 15]
     assert [odd_partition_count(n) for n in range(8)] == [1, 1, 1, 2, 2, 3, 4, 5]
+
+
+# ---------------------------------------------------------------------------
+# multiplicative orders and primitive roots
+# ---------------------------------------------------------------------------
+
+@given(st.integers(min_value=2, max_value=10**6),
+       st.integers(min_value=0, max_value=10**6))
+def test_multiplicative_order_matches_sympy(m, a):
+    if gcd(a, m) != 1:
+        with pytest.raises(ValueError):
+            multiplicative_order(a, m)
+    else:
+        assert multiplicative_order(a, m) == sympy.n_order(a, m)
+
+
+def test_primitive_root_is_the_least_one():
+    for m in range(2, 1000):
+        expected = sympy.primitive_root(m)
+        if expected is None:
+            with pytest.raises(ValueError):
+                primitive_root(m)
+        else:
+            assert primitive_root(m) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,12 @@ from regclass.catalog import (default_catalog, entry_by_key, family_order,
 from regclass.harness import quotient_pairs
 from regclass.numtheory import factorize, p_part
 from regclass import permgroup
+from regclass.chartab import galois_fixed_classes
 from regclass.permgroup import (ConsistencyError, PermGroup,
                                 ResourceLimitError, StabilizerChain, as_perm,
                                 burnside_class_count, class_counts,
                                 compose, conjugacy_classes, conjugate,
-                                galois_fixed_class_count, identity_perm,
+                                identity_perm,
                                 inverse, is_identity, load_class_table,
                                 orbit_labels,
                                 perm_from_cycles, perm_order, perm_power,
@@ -594,29 +595,21 @@ def test_power_class_map_properties(keyed_table):
 
 
 def test_galois_fixed_class_count_brute(keyed_table):
+    """The class-side table fixed[class, unit] of the power table, and its
+    columns masked to {k = 1 mod e_p'}, against the classes of the powers of
+    the representatives, for every prime p (2 included)."""
     _, group, table = keyed_table
     e = table.exponent
+    units = np.array([k for k in range(e) if gcd(k, e) == 1], dtype=np.int64)
+    brute = np.array([[table.classes_of(perm_power(c.rep, int(k))[None])[0] == i
+                       for k in units] for i, c in enumerate(table.classes)])
+    fixed = galois_fixed_classes(table.power, units)
+    assert (fixed == brute).all()
     for p in factorize(group.order).primes():
-        if p == 2:
-            continue
-        e_p = p_part(e, p)
-        e_pp = e // e_p
-        # oracle: classes fixed by every unit k = 1 mod the p'-part, each
-        # power map read from the powers of the representatives
-        fixed = 0
-        for i, c in enumerate(table.classes):
-            if all(table.classes_of(perm_power(c.rep, k)[None])[0] == i
-                   for k in range(1, e + 1)
-                   if gcd(k, e) == 1 and k % e_pp == 1):
-                fixed += 1
-        assert galois_fixed_class_count(table, p) == fixed
-
-
-def test_galois_fixed_rejects_p2():
-    group, _ = entry_by_key("sym(4)").build()
-    table = conjugacy_classes(group)
-    with pytest.raises(ValueError):
-        galois_fixed_class_count(table, 2)
+        e_pp = e // p_part(e, p)
+        # oracle: classes fixed by every unit k = 1 mod the p'-part
+        oracle = sum(all(row[units % e_pp == 1 % e_pp]) for row in brute)
+        assert fixed[:, units % e_pp == 1 % e_pp].all(axis=1).sum() == oracle
 
 
 # ---------------------------------------------------------------------------
