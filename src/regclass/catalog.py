@@ -15,13 +15,17 @@ that the two generate the whole group.
 There is one catalog, and every entry is below the one class-enumeration cap
 (`permgroup.CLASS_CAP`); the largest is psl2(256), of order 16,776,960.
 
-Matrix groups act projectively: points are normalized vectors (first nonzero
-coordinate 1) ordered by the integer encoding of their coordinates.
+Matrix groups act projectively, except sl2 on the nonzero vectors: points
+are normalized vectors (first nonzero coordinate 1) ordered by the integer
+encoding of their coordinates.  The points are one N x dim array of field
+codes, and `matrix_indices` maps all of them under a matrix at once.
 """
 
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import factorial, gcd
+
+import numpy as np
 
 from . import gf
 from .numtheory import (is_prime, multiplicative_order,
@@ -30,53 +34,50 @@ from .permgroup import PermGroup, as_perm, compose, perm_from_cycles
 
 
 # ---------------------------------------------------------------------------
-# matrices over a FieldSpec
+# matrices and vectors over GF(q): numpy arrays of field codes
 # ---------------------------------------------------------------------------
 
 def mat_mul(F, A, B):
-    n = len(A)
-    return tuple(
-        tuple(_dot(F, A[i], tuple(B[k][j] for k in range(n))) for j in range(n))
-        for i in range(n)
-    )
-
-
-def _dot(F, row, col):
-    acc = F.zero
-    for a, b in zip(row, col):
-        acc = F.add(acc, F.mul(a, b))
-    return acc
-
-
-def mat_identity(F, n):
-    return tuple(tuple(F.one if i == j else F.zero for j in range(n)) for i in range(n))
-
-
-def mat_transpose(A):
-    n = len(A)
-    return tuple(tuple(A[j][i] for j in range(n)) for i in range(n))
+    return F.dot(A[:, None, :], B.T[None, :, :])
 
 
 def mat_inv(F, A):
     """Inverse by Gauss-Jordan elimination over the field."""
     n = len(A)
-    aug = [list(A[i]) + list(mat_identity(F, n)[i]) for i in range(n)]
+    aug = np.concatenate([A, np.eye(n, dtype=np.int64)], axis=1)
     for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != F.zero), None)
+        pivot = next((r for r in range(col, n) if aug[r, col]), None)
         if pivot is None:
             raise ZeroDivisionError("singular matrix")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = F.inv(aug[col][col])
-        aug[col] = [F.mul(inv, x) for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != F.zero:
-                c = aug[r][col]
-                aug[r] = [F.sub(x, F.mul(c, y)) for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+        aug[[col, pivot]] = aug[[pivot, col]]
+        aug[col] = F.mul(F.inv(aug[col, col]), aug[col])
+        rest = np.arange(n) != col
+        aug[rest] = F.sub(aug[rest], F.mul(aug[rest, col][:, None], aug[col]))
+    return aug[:, n:]
 
 
-def mat_apply(F, A, v):
-    return tuple(_dot(F, row, v) for row in A)
+def vectors(q, codes, dim):
+    """One row per code: coordinate t is base-q digit t of the code."""
+    return np.asarray(codes, dtype=np.int64)[:, None] // q ** np.arange(dim) % q
+
+
+def point_indices(F, points, images):
+    """The row of `points` equal to each row of `images`, by one lookup in
+    an array indexed by the vector codes."""
+    weights = F.q ** np.arange(points.shape[1])
+    index = np.full(F.q ** points.shape[1], -1, dtype=np.int64)
+    index[points @ weights] = np.arange(len(points))
+    return index[images @ weights]
+
+
+def matrix_indices(F, points, A, projective):
+    """The row of `points` that v -> A v sends each row v to; when
+    projective, images are first scaled to leading coordinate 1."""
+    images = F.dot(A, points[:, None, :])
+    if projective:
+        lead = images[np.arange(len(images)), (images != 0).argmax(axis=1)]
+        images = F.mul(F.inv(lead)[:, None], images)
+    return point_indices(F, points, images)
 
 
 # ---------------------------------------------------------------------------
@@ -90,43 +91,24 @@ def projective_points(F, dim):
     nonzero coordinate is t = j (and equal to 1) have the codes
     q^j + q^(j+1) m for m < q^(dim-1-j): only these are listed and decoded."""
     q = F.q
-    codes = sorted(q**j + q**(j + 1) * m
-                   for j in range(dim) for m in range(q**(dim - 1 - j)))
-    elements = F.elements()
-    points = []
-    for code in codes:
-        v = []
-        for _ in range(dim):
-            code, r = divmod(code, q)
-            v.append(elements[r])
-        points.append(tuple(v))
-    return points
+    codes = np.sort(np.concatenate(
+        [q**j + q**(j + 1) * np.arange(q**(dim - 1 - j)) for j in range(dim)]))
+    return vectors(q, codes, dim)
 
 
-def normalize_point(F, v):
-    lead = next((x for x in v if x != F.zero), None)
-    if lead is None:
-        raise ValueError("zero vector is not projective")
-    if lead == F.one:
-        return tuple(v)
-    inv = F.inv(lead)
-    return tuple(F.mul(inv, x) for x in v)
-
-
-def projective_perm(F, points, index, A):
+def projective_perm(F, points, A):
     """The permutation induced by matrix A on the listed projective points."""
-    return as_perm([index[normalize_point(F, mat_apply(F, A, p))] for p in points],
-                   len(points))
+    return as_perm(matrix_indices(F, points, A, projective=True), len(points))
 
 
-def point_index(points):
-    return {p: i for i, p in enumerate(points)}
+def linear_perm(F, points, A):
+    """The permutation induced by matrix A on the listed vectors."""
+    return as_perm(matrix_indices(F, points, A, projective=False), len(points))
 
 
-def frobenius_point_perm(F, points, index):
+def frobenius_point_perm(F, points):
     """Coordinate-wise Frobenius x -> x**ell on projective points."""
-    return as_perm(
-        [index[tuple(F.frobenius(x, 1) for x in p)] for p in points], len(points))
+    return as_perm(point_indices(F, points, F.frobenius(points, 1)), len(points))
 
 
 # ---------------------------------------------------------------------------
@@ -215,18 +197,15 @@ def _sl2_matrices(F):
     """Two generators of SL2(q): the transvection T and D.T.W, where D is
     the diagonal of the least primitive element and W the Weyl element."""
     a = F.primitive_element()
-    T = ((F.one, F.one), (F.zero, F.one))
-    D = ((a, F.zero), (F.zero, F.inv(a)))
-    W = ((F.zero, F.one), (F.neg(F.one), F.zero))
+    T = np.array([[1, 1], [0, 1]])
+    D = np.array([[a, 0], [0, F.inv(a)]])
+    W = np.array([[0, 1], [F.neg(1), 0]])
     return [T, mat_mul(F, mat_mul(F, D, T), W)]
 
 
-def _projective_line(q):
-    """GF(q), the points of PG(1, q) and their index."""
+def _field(q):
     ell, f = prime_power_decomposition(q)
-    F = gf.make_field(ell, f)
-    points = projective_points(F, 2)
-    return F, points, point_index(points)
+    return gf.make_field(ell, f)
 
 
 def _is_square(F, x):
@@ -234,131 +213,107 @@ def _is_square(F, x):
 
 
 def _build_psl2(q):
-    F, points, index = _projective_line(q)
-    gens = [projective_perm(F, points, index, M) for M in _sl2_matrices(F)]
+    F = _field(q)
+    points = projective_points(F, 2)
+    gens = [projective_perm(F, points, M) for M in _sl2_matrices(F)]
     conjs = []
     if q % 2:
-        b = next(x for x in (F.from_int(i) for i in range(2, q))
-                 if not _is_square(F, x))
-        conjs.append(projective_perm(F, points, index,
-                                     ((b, F.zero), (F.zero, F.one))))
+        b = next(x for x in range(2, q) if not _is_square(F, x))
+        conjs.append(projective_perm(F, points, np.array([[b, 0], [0, 1]])))
     if F.f > 1:
-        conjs.append(frobenius_point_perm(F, points, index))
+        conjs.append(frobenius_point_perm(F, points))
     return PermGroup(len(points), gens, name=f"PSL2({q})"), conjs
 
 
 def _build_pgl2(q):
     """Generators T and D.T.W.diag(b, 1), b the least primitive element."""
-    F, points, index = _projective_line(q)
+    F = _field(q)
+    points = projective_points(F, 2)
     T, DTW = _sl2_matrices(F)
     b = F.primitive_element()
-    gens = [projective_perm(F, points, index, M)
-            for M in (T, mat_mul(F, DTW, ((b, F.zero), (F.zero, F.one))))]
-    conjs = [frobenius_point_perm(F, points, index)] if F.f > 1 else []
+    gens = [projective_perm(F, points, M)
+            for M in (T, mat_mul(F, DTW, np.array([[b, 0], [0, 1]])))]
+    conjs = [frobenius_point_perm(F, points)] if F.f > 1 else []
     return PermGroup(len(points), gens, name=f"PGL2({q})"), conjs
 
 
 def _build_pgammal2(q):
     """Generators diag(b, 1), b the least primitive element, and D.T.W
     composed with the Frobenius map (applied first)."""
-    F, points, index = _projective_line(q)
+    F = _field(q)
+    points = projective_points(F, 2)
     _, DTW = _sl2_matrices(F)
     b = F.primitive_element()
-    gens = [projective_perm(F, points, index, ((b, F.zero), (F.zero, F.one))),
-            compose(projective_perm(F, points, index, DTW),
-                    frobenius_point_perm(F, points, index))]
+    gens = [projective_perm(F, points, np.array([[b, 0], [0, 1]])),
+            compose(projective_perm(F, points, DTW),
+                    frobenius_point_perm(F, points))]
     return PermGroup(len(points), gens, name=f"PGammaL2({q})"), []
 
 
-def _sl2_points(q):
-    """GF(q), the nonzero vectors of GF(q)^2 (the points of the sl2(q)
-    catalog action) and their index."""
-    ell, f = prime_power_decomposition(q)
-    F = gf.make_field(ell, f)
-    vectors = [tuple(map(F.from_int, divmod(code, q))) for code in range(1, q * q)]
-    return F, vectors, {v: i for i, v in enumerate(vectors)}
+def _sl2_vectors(F):
+    """The nonzero vectors of GF(q)^2, the points of the sl2(q) catalog
+    action: vector (c // q, c % q) for c = 1, ..., q^2 - 1."""
+    return vectors(F.q, np.arange(1, F.q**2), 2)[:, ::-1]
 
 
 def _build_sl2(q):
-    F, vectors, index = _sl2_points(q)
-    gens = [as_perm([index[mat_apply(F, M, v)] for v in vectors], len(vectors))
-            for M in _sl2_matrices(F)]
-    return PermGroup(len(vectors), gens, name=f"SL2({q})"), []
+    F = _field(q)
+    points = _sl2_vectors(F)
+    gens = [linear_perm(F, points, M) for M in _sl2_matrices(F)]
+    return PermGroup(len(points), gens, name=f"SL2({q})"), []
 
 
 def sl2_center(q):
     """Generators of the center {+-I} of the sl2(q) catalog action."""
-    F, vectors, index = _sl2_points(q)
-    neg = as_perm([index[(F.neg(v[0]), F.neg(v[1]))] for v in vectors],
-                  len(vectors))
-    return [neg]
+    F = _field(q)
+    return [linear_perm(F, _sl2_vectors(F), F.neg(np.eye(2, dtype=np.int64)))]
 
 
-def _psl3_combined_perm(F, points, index, A):
+def _psl3_combined_perm(F, points, A):
     """Permutation on points + lines: points by A, lines by inverse-transpose."""
     n = len(points)
-    dual = mat_transpose(mat_inv(F, A))
-    images = [index[normalize_point(F, mat_apply(F, A, p))] for p in points]
-    images += [n + index[normalize_point(F, mat_apply(F, dual, p))] for p in points]
-    return as_perm(images, 2 * n)
+    images = [matrix_indices(F, points, A, projective=True),
+              n + matrix_indices(F, points, mat_inv(F, A).T, projective=True)]
+    return as_perm(np.concatenate(images), 2 * n)
 
 
 def _build_psl3(q):
-    ell, f = prime_power_decomposition(q)
-    F = gf.make_field(ell, f)
+    F = _field(q)
     points = projective_points(F, 3)
-    index = point_index(points)
     n = len(points)
     a = F.primitive_element()
-    one, zero = F.one, F.zero
-    T = ((one, one, zero), (zero, one, zero), (zero, zero, one))
-    W = ((zero, zero, one), (one, zero, zero), (zero, one, zero))
-    D = ((a, zero, zero), (zero, one, zero), (zero, zero, F.inv(a)))
+    T = np.array([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+    W = np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+    D = np.array([[a, 0, 0], [0, 1, 0], [0, 0, F.inv(a)]])
     WTD = mat_mul(F, mat_mul(F, W, T), D)
-    gens = [_psl3_combined_perm(F, points, index, M) for M in (T, WTD)]
+    gens = [_psl3_combined_perm(F, points, M) for M in (T, WTD)]
     conjs = []
     if gcd(3, q - 1) == 3:
-        diag = ((a, zero, zero), (zero, one, zero), (zero, zero, one))
-        conjs.append(_psl3_combined_perm(F, points, index, diag))
-    if f > 1:
-        frob_block = [index[tuple(F.frobenius(x, 1) for x in p)] for p in points]
-        conjs.append(as_perm(frob_block + [n + i for i in frob_block], 2 * n))
+        diag = np.array([[a, 0, 0], [0, 1, 0], [0, 0, 1]])
+        conjs.append(_psl3_combined_perm(F, points, diag))
+    if F.f > 1:
+        frob = point_indices(F, points, F.frobenius(points, 1))
+        conjs.append(as_perm(np.concatenate([frob, n + frob]), 2 * n))
     duality = as_perm([n + i for i in range(n)] + list(range(n)), 2 * n)
     conjs.append(duality)
     return PermGroup(2 * n, gens, name=f"PSL3({q})"), conjs
 
 
-def _symplectic_form(F, x, y):
-    """B(x, y) = x0 y2 - x2 y0 + x1 y3 - x3 y1."""
-    t1 = F.sub(F.mul(x[0], y[2]), F.mul(x[2], y[0]))
-    t2 = F.sub(F.mul(x[1], y[3]), F.mul(x[3], y[1]))
-    return F.add(t1, t2)
-
-
 def _build_sp4(q):
     """Generators t_{e0} o t_{e1} and t_{e2} o t_{e0+e1} o t_{e2+e3}, where
-    t_v is the transvection x -> x + B(x, v) v."""
+    t_v is the transvection x -> x + B(x, v) v for the form
+    B(x, y) = x0 y2 - x2 y0 + x1 y3 - x3 y1 = x^T J y: its matrix is
+    I + v (J v)^T."""
     if q not in (2, 3):
         raise ValueError("sp4 is built only for q in {2, 3}")
-    ell, f = prime_power_decomposition(q)
-    F = gf.make_field(ell, f)
+    F = _field(q)
     points = projective_points(F, 4)
-    index = point_index(points)
-    one, zero = F.one, F.zero
-    e = [tuple(one if i == j else zero for j in range(4)) for i in range(4)]
-
-    def transvection_perm(v):
-        def image(x):
-            s = _symplectic_form(F, x, v)
-            return tuple(F.add(xi, F.mul(s, vi)) for xi, vi in zip(x, v))
-        return as_perm([index[normalize_point(F, image(p))] for p in points],
-                       len(points))
-
-    def plus(u, v):
-        return tuple(F.add(a, b) for a, b in zip(u, v))
-
-    t = [transvection_perm(v)
-         for v in (e[0], e[1], e[2], plus(e[0], e[1]), plus(e[2], e[3]))]
+    minus = F.neg(1)
+    J = np.array([[0, 0, 1, 0], [0, 0, 0, 1], [minus, 0, 0, 0], [0, minus, 0, 0]])
+    I = np.eye(4, dtype=np.int64)
+    t = [projective_perm(F, points, F.add(I, F.mul(v[:, None], F.dot(J, v))))
+         for v in np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0],
+                            [1, 1, 0, 0], [0, 0, 1, 1]])]
     gens = [compose(t[0], t[1]), compose(compose(t[2], t[3]), t[4])]
     return PermGroup(len(points), gens, name=f"PSp4({q})"), []
 
@@ -468,6 +423,7 @@ def entry_by_key(key: str) -> CatalogEntry:
 
 __all__ = [
     "CatalogEntry", "default_catalog", "entry_by_key",
-    "family_order", "sl2_center", "mat_mul", "mat_inv", "mat_transpose",
-    "mat_identity", "projective_points", "projective_perm",
+    "family_order", "sl2_center", "mat_mul", "mat_inv", "vectors",
+    "point_indices", "matrix_indices", "projective_points", "projective_perm",
+    "linear_perm",
 ]

@@ -413,7 +413,6 @@ class CharacterTable:
     exponent: int
     modular_prime: int
     mod_values: np.ndarray  # [character][class] mod P
-    power: list[np.ndarray]  # table.power: class of rep_j^u, u < order
 
     def __len__(self):
         return len(self.degrees)
@@ -555,8 +554,7 @@ def character_table(group: PermGroup, table: ClassTable) -> CharacterTable:
     mod_values = mod_values[order]
 
     result = CharacterTable(table=table, degrees=degrees, values=values,
-                            exponent=e, modular_prime=P, mod_values=mod_values,
-                            power=power)
+                            exponent=e, modular_prime=P, mod_values=mod_values)
     _verify_exact_orthogonality(result)
     return result
 
@@ -694,7 +692,7 @@ def brauer_cross_check(ct: CharacterTable) -> None:
     Brauer's permutation lemma both counts are then those of a generator).
     Any mismatch is a hard engine failure."""
     units, rows_fixed = ct._galois
-    classes_fixed = galois_fixed_classes(ct.power, units)
+    classes_fixed = galois_fixed_classes(ct.table.power, units)
     chars_count = rows_fixed.sum(axis=0)
     classes_count = classes_fixed.sum(axis=0)
     bad = np.flatnonzero(chars_count != classes_count)
@@ -812,8 +810,7 @@ def load_character_table(table: ClassTable, path) -> CharacterTable:
     inv_class = [int(pw[-1]) for pw in power]
     _check_mod_orthogonality(mod_values, sizes, inv_class, n, P)
     ct = CharacterTable(table=table, degrees=degrees, values=values,
-                        exponent=e, modular_prime=P, mod_values=mod_values,
-                        power=power)
+                        exponent=e, modular_prime=P, mod_values=mod_values)
     _verify_exact_orthogonality(ct)
     # equal values may be written with other multiplicities; only the
     # eigenvalue multiplicities, which the lift recovers, are valid

@@ -8,9 +8,10 @@ Subcommands:
   chartab <entry> --p P            character table and rationality counts
 
 Exit status is 0 only when every asserted case passes; skipped cases are
-listed but do not fail the run.  An unknown entry or one outside a resource
-cap (e.g. a character table with more classes than `chartab.MAX_CLASSES`)
-exits 2 with a one-line message on stderr.
+listed but do not fail the run.  An unknown entry, one outside a resource
+cap (e.g. a character table with more classes than `chartab.MAX_CLASSES`) or
+a `bound` grid point outside its claim's domain exits 2 with a one-line
+message on stderr.
 """
 
 from __future__ import annotations
@@ -138,7 +139,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (KeyError, ResourceLimitError) as exc:
+    except (KeyError, ResourceLimitError, liebounds.GridPointError) as exc:
         print(exc.args[0] if exc.args else exc, file=sys.stderr)
         return 2
 

@@ -1,178 +1,153 @@
 """Arithmetic in small finite fields GF(ell**f).
 
-Elements are polynomial residues mod a deterministic irreducible modulus (the
-lexicographically least monic irreducible of degree f, coefficients ordered
-constant term first).  Elements are represented as tuples of ints in
-[0, ell), length f, constant term first.
+The modulus is deterministic: the lexicographically least monic irreducible
+of degree f, coefficients ordered constant term first.  An element is its
+integer code n < q: the residue whose coefficient of x**t is base-ell digit t
+of n.  Every operation takes ints or numpy integer arrays of codes and works
+by lookup: a digit table for add, neg and sub, and the exp/log tables of the
+least primitive element for mul, inv and pow.  The tables are built once per
+field, in `make_field`.
 """
 
 from functools import lru_cache
 from itertools import product
-from math import gcd
 
-from .numtheory import is_prime
+import numpy as np
+
+from .numtheory import factorize, is_prime
 
 MAX_SIZE = 1 << 16
 MAX_DEGREE = 12
 
 
 class FieldSpec:
-    """GF(ell**f) with precomputed modulus and reduction data."""
+    """GF(ell**f) with its modulus and lookup tables.
+
+    `_digits[n]` holds the base-ell digits of n; `_exp[k]` is g**k for the
+    least primitive element g, over two periods so that a sum of two logs
+    indexes it directly.  `_log[0]` is `_zero_log` = 2(q-1), which points
+    into a block of zeros: a sum of logs that involves it lands there, so
+    `mul` needs no test for zero."""
 
     def __init__(self, ell: int, f: int, modulus: tuple[int, ...]):
         self.ell = ell
         self.f = f
-        self.q = ell**f
+        self.q = q = ell**f
         # monic of degree f; coefficient list constant-term-first, length f+1
         self.modulus = modulus
-        self.zero = (0,) * f
-        self.one = ((1,) + (0,) * (f - 1)) if f > 0 else ()
+        self.zero = 0
+        self.one = 1
+        self._place = ell ** np.arange(f, dtype=np.int64)
+        self._digits = np.arange(q, dtype=np.int64)[:, None] // self._place % ell
+        powers = np.array(_powers_of_least_primitive(self._digits, modulus, ell),
+                          dtype=np.int64)
+        self._zero_log = 2 * (q - 1)
+        self._exp = np.concatenate(
+            [powers, powers, np.zeros(2 * (q - 1) + 1, dtype=np.int64)])
+        self._log = np.empty(q, dtype=np.int64)
+        self._log[powers] = np.arange(q - 1)
+        self._log[0] = self._zero_log
+        for table in (self._place, self._digits, self._exp, self._log):
+            table.flags.writeable = False
 
     def __repr__(self):
         return f"GF({self.ell}^{self.f}, modulus={list(self.modulus)})"
 
-    # -- element construction ------------------------------------------------
+    def _code(self, digits):
+        return digits % self.ell @ self._place
 
-    def element(self, coeffs) -> tuple[int, ...]:
-        coeffs = tuple(c % self.ell for c in coeffs)
-        if len(coeffs) != self.f:
-            raise ValueError(f"need {self.f} coefficients")
-        return coeffs
-
-    def from_int(self, n: int) -> tuple[int, ...]:
-        """The element whose base-ell digits (little-endian) are n's digits."""
-        digits = []
-        for _ in range(self.f):
-            n, r = divmod(n, self.ell)
-            digits.append(r)
-        return tuple(digits)
-
-    def to_int(self, a) -> int:
-        n = 0
-        for c in reversed(a):
-            n = n * self.ell + c
-        return n
-
-    def elements(self):
-        """All field elements in lexicographic (from_int) order."""
-        return [self.from_int(i) for i in range(self.q)]
-
-    # -- arithmetic ----------------------------------------------------------
+    # -- arithmetic on codes -------------------------------------------------
 
     def add(self, a, b):
-        ell = self.ell
-        return tuple((x + y) % ell for x, y in zip(a, b))
+        return self._code(self._digits[a] + self._digits[b])
 
     def neg(self, a):
-        ell = self.ell
-        return tuple((-x) % ell for x in a)
+        return self._code(-self._digits[a])
 
     def sub(self, a, b):
-        ell = self.ell
-        return tuple((x - y) % ell for x, y in zip(a, b))
+        return self._code(self._digits[a] - self._digits[b])
 
     def mul(self, a, b):
-        ell, f = self.ell, self.f
-        # schoolbook product then reduction by the monic modulus
-        prod_coeffs = [0] * (2 * f - 1) if f > 0 else []
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    prod_coeffs[i + j] = (prod_coeffs[i + j] + x * y) % ell
-        return self._reduce(prod_coeffs)
+        return self._exp[self._log[a] + self._log[b]]
 
-    def _reduce(self, coeffs):
-        ell, f, mod = self.ell, self.f, self.modulus
-        coeffs = list(coeffs)
-        for i in range(len(coeffs) - 1, f - 1, -1):
-            c = coeffs[i]
-            if c:
-                coeffs[i] = 0
-                # subtract c * x^(i-f) * modulus
-                base = i - f
-                for j in range(f + 1):
-                    coeffs[base + j] = (coeffs[base + j] - c * mod[j]) % ell
-        return tuple(coeffs[:f])
-
-    def scalar_mul(self, c, a):
-        ell = self.ell
-        return tuple((c * x) % ell for x in a)
+    def dot(self, a, b):
+        """The sum of a * b over the last axis (after broadcasting)."""
+        return self._code(self._digits[self.mul(a, b)].sum(axis=-2))
 
     def inv(self, a):
-        """Multiplicative inverse via extended Euclid on polynomials."""
-        if a == self.zero:
+        if np.any(np.asarray(a) == 0):
             raise ZeroDivisionError("inversion of zero field element")
-        ell = self.ell
-        # polynomials as little-endian coefficient lists over GF(ell)
-        r0, r1 = list(self.modulus), list(a)
-        s0, s1 = [0], [1]
-        while any(r1):
-            q, r = _poly_divmod(r0, r1, ell)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1, ell), ell)
-        # r0 is now gcd, a nonzero constant (modulus is irreducible)
-        c = next(c for c in r0 if c)
-        cinv = pow(c, -1, ell)
-        inv = [x * cinv % ell for x in s0]
-        inv += [0] * (self.f - len(inv))
-        return self._reduce(inv[: 2 * self.f])
+        return self._exp[self.q - 1 - self._log[a]]
 
     def pow(self, a, n: int):
+        """a**n, with 0**0 = 1."""
         if n < 0:
             return self.pow(self.inv(a), -n)
-        result = self.one
-        base = a
-        while n:
-            if n & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return result
+        log = self._log[a]
+        return self._exp[np.where(log == self._zero_log,
+                                  self._zero_log if n else 0,
+                                  log * n % (self.q - 1))]
 
     def frobenius(self, a, k: int):
         """a**(ell**k), the k-th power of the Frobenius automorphism."""
         return self.pow(a, self.ell ** (k % self.f))
 
-    def element_order(self, a) -> int:
-        if a == self.zero:
-            raise ValueError("zero has no multiplicative order")
-        from .numtheory import divisors
-        for d in divisors(self.q - 1):
-            if self.pow(a, d) == self.one:
-                return d
-        raise AssertionError("unreachable")
-
     def primitive_element(self):
-        """The least (in from_int order) generator of the unit group."""
-        for i in range(1, self.q):
-            a = self.from_int(i)
-            if self.element_order(a) == self.q - 1:
-                return a
-        raise AssertionError("no primitive element found")
+        """The least code that generates the unit group."""
+        return self._exp[1]
+
+
+def _times(a, b, modulus, ell):
+    """The product of two digit lists mod the monic modulus: the only
+    polynomial product of this module, used to build the exp table."""
+    f = len(modulus) - 1
+    prod = [0] * (2 * f - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    for i in range(2 * f - 2, f - 1, -1):
+        c = prod[i] % ell
+        for j in range(f + 1):
+            prod[i - f + j] -= c * modulus[j]
+    return [c % ell for c in prod[:f]]
+
+
+def _powers_of_least_primitive(digits, modulus, ell):
+    """[1, g, ..., g**(q-2)] as codes, g the least code of order q - 1.
+
+    g is primitive when g**((q-1)/r) != 1 for every prime r | q - 1 (square
+    and multiply).  Multiplication by g is GF(ell)-linear, so its action on
+    every code at once is one digit-matrix product, and the powers follow
+    by walking that map from 1.  `digits[n]` holds the base-ell digits of n."""
+    q, f = digits.shape
+    unit = [[int(t == s) for s in range(f)] for t in range(f)]  # x**t
+
+    def power(a, n):
+        out = unit[0]
+        while n:
+            if n & 1:
+                out = _times(out, a, modulus, ell)
+            a, n = _times(a, a, modulus, ell), n >> 1
+        return out
+
+    primes = factorize(q - 1).primes()
+    for g in range(1, q):
+        g_digits = digits[g].tolist()
+        if all(power(g_digits, (q - 1) // r) != unit[0] for r in primes):
+            break
+    times_g = np.array([_times(x, g_digits, modulus, ell) for x in unit])
+    # code n -> code n*g
+    image = (digits @ times_g % ell @ ell ** np.arange(f)).tolist()
+    powers = [1]
+    for _ in range(q - 2):
+        powers.append(image[powers[-1]])
+    return powers
 
 
 def _poly_trim(p):
     while p and p[-1] == 0:
         p.pop()
     return p
-
-
-def _poly_sub(a, b, ell):
-    n = max(len(a), len(b))
-    a = a + [0] * (n - len(a))
-    b = b + [0] * (n - len(b))
-    return _poly_trim([(x - y) % ell for x, y in zip(a, b)])
-
-
-def _poly_mul(a, b, ell):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % ell
-    return _poly_trim(out)
 
 
 def _poly_divmod(a, b, ell):

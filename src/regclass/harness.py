@@ -26,7 +26,9 @@ import numpy as np
 
 from . import __version__
 from .autorbits import fuse_classes, orbit_counts
-from .catalog import CatalogEntry, default_catalog, entry_by_key
+from .catalog import (CatalogEntry, default_catalog, entry_by_key, linear_perm,
+                      vectors)
+from .gf import make_field
 from .numtheory import EQUAL, GREATER, LESS, cmp_threshold, factorize
 from .permgroup import (CLASS_CAP, ConsistencyError, PermGroup, as_perm,
                         class_counts, conjugacy_classes, load_class_table,
@@ -407,27 +409,14 @@ def verify_table1() -> VerificationReport:
 
 def _vector_perm(p: int, dim: int, mat) -> np.ndarray:
     """Permutation of GF(p)^dim (integer-coded base p) induced by a matrix."""
-    images = []
-    for code in range(p ** dim):
-        v = []
-        c = code
-        for _ in range(dim):
-            c, r = divmod(c, p)
-            v.append(r)
-        w = [sum(mat[i][j] * v[j] for j in range(dim)) % p for i in range(dim)]
-        images.append(sum(x * p ** i for i, x in enumerate(w)))
-    return as_perm(images, p ** dim)
+    return linear_perm(make_field(p, 1), vectors(p, np.arange(p ** dim), dim),
+                       np.asarray(mat) % p)
 
 
 def _spin_irreducible(p: int, dim: int, mats) -> bool:
     """No proper nonzero invariant subspace: the spin of every nonzero
     vector under the generators spans the whole space."""
-    for code in range(1, p ** dim):
-        v = []
-        c = code
-        for _ in range(dim):
-            c, r = divmod(c, p)
-            v.append(r)
+    for v in vectors(p, np.arange(1, p ** dim), dim).tolist():
         basis: list[list[int]] = []
         frontier = [v]
         while frontier:

@@ -580,6 +580,20 @@ _CLAIMS = {
 }
 
 
+class GridPointError(ValueError):
+    """A grid point outside the domain of its claim."""
+
+
+def _check_grid_point(claim_id: str, q: int) -> None:
+    """Prime powers for every claim; odd powers of 2 for the Suzuki one."""
+    try:
+        ell, f = prime_power_decomposition(q)
+    except ValueError:
+        raise GridPointError(f"grid point {q} is not a prime power") from None
+    if claim_id == "suzuki-pregular-orbit-threshold" and (ell != 2 or f % 2 == 0):
+        raise GridPointError(f"grid point {q} is not 2^(2m+1)")
+
+
 def grid_claims() -> list[str]:
     return sorted(_CLAIMS)
 
@@ -595,11 +609,14 @@ def grid_certify(claim_id: str, grid=None):
 
     Returns (certificates, computed exception set).  The exception set is
     exact: a point fails a strict claim when lhs <= threshold and a
-    non-strict claim when lhs < threshold."""
+    non-strict claim when lhs < threshold.  A point outside the claim's
+    domain raises `GridPointError` before any point is evaluated."""
     if claim_id not in _CLAIMS:
         raise ValueError(f"unknown claim {claim_id!r}")
     claim, default_grid, evaluate = _CLAIMS[claim_id]
     points = list(grid) if grid is not None else default_grid()
+    for q in points:
+        _check_grid_point(claim_id, q)
     certs = []
     failures = []
     for q in points:
@@ -616,7 +633,7 @@ def grid_certify(claim_id: str, grid=None):
 
 __all__ = [
     "FAMILIES", "INDETERMINATE", "LieParams", "BoundCertificate",
-    "GridClaim", "ExceptionalData",
+    "GridClaim", "GridPointError", "ExceptionalData",
     "prime_powers", "semisimple_class_count", "thm4_certify",
     "psl_torus_orbit_bound", "ssc_torus_bounds", "ssc_multi_torus_pprime",
     "min_centralizer_H", "symplectic_kpprime_lower",

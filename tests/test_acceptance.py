@@ -278,7 +278,7 @@ def test_engine_properties():
     # field axioms, exhaustively on two non-prime fields
     for ell, f in [(2, 3), (3, 2)]:
         F = make_field(ell, f)
-        elems = list(F.elements())
+        elems = range(F.q)
         for a in elems:
             for b in elems:
                 assert F.mul(a, b) == F.mul(b, a)

@@ -1,15 +1,16 @@
 """Catalog constructions: orders, outer actions, matrix helpers."""
 
+import hashlib
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from regclass import catalog, gf
 from regclass.catalog import (default_catalog, entry_by_key, family_order,
-                              mat_identity, mat_inv, mat_mul, mat_transpose,
-                              projective_points, sl2_center)
+                              mat_inv, mat_mul, projective_points, sl2_center)
 from regclass.permgroup import (PermGroup, compose, conjugacy_classes,
                                 conjugate, inverse, is_identity)
 
@@ -120,9 +121,9 @@ def _reference_projective_points(F, dim):
         v = []
         for _ in range(dim):
             code, r = divmod(code, F.q)
-            v.append(F.from_int(r))
+            v.append(r)
         if next((x for x in v if x != F.zero), None) == F.one:
-            points.append(tuple(v))
+            points.append(v)
     return points
 
 
@@ -140,7 +141,8 @@ def test_projective_points_match_the_full_enumeration(monkeypatch):
     assert (2, 8, 2) in used and (2, 1, 4) in used
     for ell, f, dim in sorted(used):
         F = gf.make_field(ell, f)
-        assert projective_points(F, dim) == _reference_projective_points(F, dim)
+        assert projective_points(F, dim).tolist() == \
+            _reference_projective_points(F, dim)
 
 
 @given(st.integers(0, 5**9 - 1))
@@ -150,11 +152,29 @@ def test_mat_inv_over_gf5(code):
     c = code
     for _ in range(9):
         c, r = divmod(c, 5)
-        entries.append(F.from_int(r))
-    A = tuple(tuple(entries[3 * i + j] for j in range(3)) for i in range(3))
+        entries.append(r)
+    A = np.array(entries).reshape(3, 3)
     try:
         Ainv = mat_inv(F, A)
     except ZeroDivisionError:
         return  # singular
-    assert mat_mul(F, A, Ainv) == mat_identity(F, 3)
-    assert mat_transpose(mat_transpose(A)) == A
+    assert (mat_mul(F, A, Ainv) == np.eye(3)).all()
+    assert (mat_mul(F, Ainv, A) == np.eye(3)).all()
+
+
+def test_catalog_is_frozen():
+    """Every entry's degree, generators and outer-automorphism conjugators,
+    byte for byte and with their dtypes, as first recorded for the catalog
+    of 93 entries: a change of field arithmetic, point order or matrix
+    words shows here."""
+    h = hashlib.sha256()
+    for entry in default_catalog():
+        group, conjs = entry.build()
+        gens = list(group.generators)
+        h.update(f"{entry.key} {group.degree} {len(gens)} {len(conjs)}".encode())
+        for perm in gens + conjs:
+            h.update(perm.dtype.str.encode())
+            h.update(perm.tobytes())
+    assert len(default_catalog()) == 93
+    assert h.hexdigest() == \
+        "fb1d299fd440ae537b8905d84dfed45f467710aaa63f815e2f14f13b5888094b"

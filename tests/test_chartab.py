@@ -1,5 +1,6 @@
 """Character tables: degrees, Galois actions, rationality counts, caching."""
 
+import copy
 import dataclasses
 import itertools
 from math import gcd
@@ -476,11 +477,12 @@ def test_brauer_cross_check_rejects_a_wrong_power_map(tables):
     the check."""
     _, table, ct = tables("psl2(7)")
     j = next(j for j, c in enumerate(table.classes) if c.order == 7)
-    power = list(ct.power)
-    power[j] = np.full(7, j)
-    power[j][0] = 0
+    tampered = copy.copy(table)
+    tampered.power = list(table.power)
+    tampered.power[j] = np.full(7, j)
+    tampered.power[j][0] = 0
     with pytest.raises(ConsistencyError, match="Brauer count mismatch at k=5"):
-        brauer_cross_check(dataclasses.replace(ct, power=power))
+        brauer_cross_check(dataclasses.replace(ct, table=tampered))
 
 
 # ---------------------------------------------------------------------------

@@ -34,3 +34,25 @@ def test_chartab_outside_the_class_cap_exits_2(capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"129 classes exceeds cap {MAX_CLASSES}\n"
+
+
+@pytest.mark.parametrize("claim,q,message", [
+    ("g2-pregular-orbit-threshold", "6", "grid point 6 is not a prime power"),
+    ("g2-pregular-orbit-threshold", "1", "grid point 1 is not a prime power"),
+    ("psl3-pregular-orbit-threshold", "0", "grid point 0 is not a prime power"),
+    ("suzuki-pregular-orbit-threshold", "16", "grid point 16 is not 2^(2m+1)"),
+    ("suzuki-pregular-orbit-threshold", "27", "grid point 27 is not 2^(2m+1)"),
+])
+def test_bound_rejects_a_grid_point_outside_the_claim(claim, q, message, capsys):
+    """Exit status 2 and one line on stderr, before any point is printed;
+    exit status 1 stays reserved for a claim whose exceptions differ."""
+    assert main(["bound", claim, "--grid", "8", q]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == message + "\n"
+
+
+def test_bound_on_valid_grid_points(capsys):
+    assert main(["bound", "g2-pregular-orbit-threshold", "--grid", "8", "9"]) == 1
+    assert main(["bound", "g2-pregular-orbit-threshold", "--grid", "9"]) == 0
+    assert main(["bound", "suzuki-pregular-orbit-threshold", "--grid", "128"]) == 0
