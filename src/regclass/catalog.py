@@ -18,7 +18,9 @@ There is one catalog, and every entry is below the one class-enumeration cap
 Matrix groups act projectively, except sl2 on the nonzero vectors: points
 are normalized vectors (first nonzero coordinate 1) ordered by the integer
 encoding of their coordinates.  The points are one N x dim array of field
-codes, and `matrix_indices` maps all of them under a matrix at once.
+codes, and `matrix_indices` maps all of them under a matrix at once.  No
+matrix is inverted: PSL3 moves lines by the inverse of the permutation that
+the transpose induces on points.
 """
 
 from dataclasses import dataclass, field
@@ -30,7 +32,7 @@ import numpy as np
 from . import gf
 from .numtheory import (is_prime, multiplicative_order,
                         prime_power_decomposition)
-from .permgroup import PermGroup, as_perm, compose, perm_from_cycles
+from .permgroup import PermGroup, as_perm, compose, inverse, perm_from_cycles
 
 
 # ---------------------------------------------------------------------------
@@ -39,21 +41,6 @@ from .permgroup import PermGroup, as_perm, compose, perm_from_cycles
 
 def mat_mul(F, A, B):
     return F.dot(A[:, None, :], B.T[None, :, :])
-
-
-def mat_inv(F, A):
-    """Inverse by Gauss-Jordan elimination over the field."""
-    n = len(A)
-    aug = np.concatenate([A, np.eye(n, dtype=np.int64)], axis=1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r, col]), None)
-        if pivot is None:
-            raise ZeroDivisionError("singular matrix")
-        aug[[col, pivot]] = aug[[pivot, col]]
-        aug[col] = F.mul(F.inv(aug[col, col]), aug[col])
-        rest = np.arange(n) != col
-        aug[rest] = F.sub(aug[rest], F.mul(aug[rest, col][:, None], aug[col]))
-    return aug[:, n:]
 
 
 def vectors(q, codes, dim):
@@ -270,10 +257,12 @@ def sl2_center(q):
 
 
 def _psl3_combined_perm(F, points, A):
-    """Permutation on points + lines: points by A, lines by inverse-transpose."""
+    """Permutation on points + lines: points by A, lines (indexed by their
+    normal vectors) by the inverse-transpose, whose permutation is the
+    inverse of the transpose's, the projective action being a homomorphism."""
     n = len(points)
     images = [matrix_indices(F, points, A, projective=True),
-              n + matrix_indices(F, points, mat_inv(F, A).T, projective=True)]
+              n + inverse(matrix_indices(F, points, A.T, projective=True))]
     return as_perm(np.concatenate(images), 2 * n)
 
 
@@ -423,7 +412,7 @@ def entry_by_key(key: str) -> CatalogEntry:
 
 __all__ = [
     "CatalogEntry", "default_catalog", "entry_by_key",
-    "family_order", "sl2_center", "mat_mul", "mat_inv", "vectors",
+    "family_order", "sl2_center", "mat_mul", "vectors",
     "point_indices", "matrix_indices", "projective_points", "projective_perm",
     "linear_perm",
 ]

@@ -3,10 +3,11 @@
 Class-multiplication matrices are simultaneously diagonalized over GF(P) for
 a deterministic prime P = 1 (mod exponent), P > 2*sqrt(|G|): each step
 splits a subspace into the eigenspaces of one class matrix, whose dimensions
-must sum to its dimension, with one Gauss-Jordan elimination (`_rref_mod`)
-for both the coordinates and the kernels.  Eigenvector rows are lifted to
-exact cyclotomic integers (multiplicity vectors over e-th roots of unity) by
-the discrete Fourier lift over power maps.
+must sum to its dimension, with one Gauss-Jordan elimination (`rref_mod`,
+the package's only one) for both the coordinates and the kernels.
+Eigenvector rows are lifted to exact cyclotomic integers (multiplicity
+vectors over e-th roots of unity) by the discrete Fourier lift over power
+maps.
 
 As in Schneider's refinement ("Dixon's character table algorithm
 revisited", J. Symbolic Comput. 9, 1990), a class matrix is computed only
@@ -46,8 +47,8 @@ side (rational, p-rational, p'-rational, Q_p-valued characters) it is
 fixed[value, unit] over the distinct values of the table: sigma_k sends the
 entry (s, m_s) of a value v to (s*k mod e, m_s); k is a unit, so this maps
 the support injectively onto a set of the same size, and v is fixed iff
-v[s*k mod e] = m_s for every entry of v.  It is filled by exact index
-arithmetic on the flattened supports.  On the class side it is
+v[s*k mod e] = m_s for every entry of v.  It is filled by gathers from
+the dense multiplicity vectors of the values.  On the class side it is
 fixed[class, unit], read from the power table, and the Brauer cross-check
 compares the two.
 """
@@ -163,19 +164,17 @@ def galois_fixed_table(values, e: int) -> tuple[np.ndarray, np.ndarray]:
 
     sigma_k maps the entry (s, m_s) to (s*k mod e, m_s); k permutes Z/e, so
     the support goes injectively onto a set of the same size, and v is fixed
-    iff v[s*k mod e] = m_s for every entry of v."""
+    iff v[s*k mod e] = m_s for every entry of v, read from the dense
+    multiplicity vectors of the values by one gather per chunk of units."""
     units = _units(e)
     vid, s, m, bounds = _support_entries(values)
-    # entry keys v*e + s ascend; the sentinel matches no image
-    keys = np.append(vid * e + s, np.iinfo(np.int64).max)
-    mults = np.append(m, 0)
+    dense = np.zeros(len(values) * e, dtype=np.min_scalar_type(m.max(initial=0)))
+    dense[vid * e + s] = m
     fixed = np.empty((len(values), len(units)), dtype=bool)
     step = max(1, CHUNK // max(len(s), 1))
     for lo in range(0, len(units), step):
         k = units[lo:lo + step]
-        image = vid[:, None] * e + s[:, None] * k[None, :] % e
-        at = np.searchsorted(keys, image)
-        miss = (keys[at] != image) | (mults[at] != m[:, None])
+        miss = dense[vid[:, None] * e + s[:, None] * k[None, :] % e] != m[:, None]
         fixed[:, lo:lo + step] = _segment_sums(miss, bounds) == 0
     return units, fixed
 
@@ -282,7 +281,7 @@ def class_matrix(table: ClassTable, i: int, rows) -> np.ndarray:
 # mod-P linear algebra
 # ---------------------------------------------------------------------------
 
-def _rref_mod(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+def rref_mod(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """The reduced row echelon form of A mod p and its pivot columns, by
     Gauss-Jordan elimination with one vectorized row update per pivot."""
     R = np.asarray(A, dtype=np.int64) % p
@@ -309,7 +308,7 @@ def _rref_mod(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 def _solve_coords(B: np.ndarray, Y: np.ndarray, p: int) -> np.ndarray:
     """X with B X = Y (mod p); B is K x m with full column rank."""
     m = B.shape[1]
-    R, pivots = _rref_mod(np.concatenate([B, Y], axis=1), p)
+    R, pivots = rref_mod(np.concatenate([B, Y], axis=1), p)
     if pivots[:m] != list(range(m)):
         raise ConsistencyError("basis matrix is column-rank deficient")
     if len(pivots) > m:
@@ -368,7 +367,7 @@ def _nullspace_mod(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     reduced row echelon form, and those free columns: at them the basis is
     the identity."""
     m = A.shape[1]
-    R, pivots = _rref_mod(A, p)
+    R, pivots = rref_mod(A, p)
     free = [c for c in range(m) if c not in pivots]
     basis = np.zeros((m, len(free)), dtype=np.int64)
     basis[free, range(len(free))] = 1
@@ -823,6 +822,6 @@ __all__ = [
     "CycValue", "CharacterTable", "RationalityFlags", "CharacterCounts",
     "MAX_CLASSES", "MAX_ORDER", "dixon_prime", "class_matrix",
     "character_table", "classify_rationality", "character_count_report",
-    "galois_fixed_table", "galois_fixed_classes",
+    "galois_fixed_table", "galois_fixed_classes", "rref_mod",
     "brauer_cross_check", "save_character_table", "load_character_table",
 ]

@@ -55,11 +55,7 @@ def _cmd_classes(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    suite = harness.SUITES[args.suite]
-    if args.suite == "thm1":
-        report = suite(max_order=args.max_order)
-    else:
-        report = suite()
+    report = harness.SUITES[args.suite]()
     sys.stdout.write(harness.emit_report(report, "text").decode())
     if args.json:
         with open(args.json, "wb") as fh:
@@ -121,7 +117,6 @@ def main(argv=None) -> int:
 
     p_ver = sub.add_parser("verify", help="run a verification suite")
     p_ver.add_argument("suite", choices=sorted(harness.SUITES))
-    p_ver.add_argument("--max-order", type=int, default=20_000)
     p_ver.add_argument("--json", help="also write the JSON report here")
     p_ver.set_defaults(func=_cmd_verify)
 

@@ -5,10 +5,13 @@ compares them against closed-form thresholds with integer arithmetic only.
 Every catalog entry is below the one class-enumeration cap, so the class
 suites (`thm1`, `thm2`, `table1`) never skip an entry; class tables are
 memoized per catalog key, so one process keeps every table it enumerated.
-Results are collected into a `VerificationReport` whose JSON form is stable
-and round-trippable.  Expected values carry a `source` field: "published"
-for numbers taken from the literature being checked, "recomputed" for values
-frozen from an independent brute-force computation.
+`thm1` reads its order cap from `CAPS`, which every report records.  The
+module bound (`lemma72`) tests irreducibility by spinning vectors with the
+character tables' elimination, `chartab.rref_mod`.  Results are collected
+into a `VerificationReport` whose JSON form is stable and round-trippable.
+Expected values carry a `source` field: "published" for numbers taken from
+the literature being checked, "recomputed" for values frozen from an
+independent brute-force computation.
 """
 
 from __future__ import annotations
@@ -231,10 +234,11 @@ def is_sharp_frobenius(order: int, counts) -> bool:
             and counts.k_p * d == p - 1 and counts.k_p_prime == d)
 
 
-def verify_theorem1(max_order: int = 20_000, entries=None) -> VerificationReport:
+def verify_theorem1(entries=None) -> VerificationReport:
     t0 = time.monotonic()
     cases: list[CaseRecord] = []
-    selected = [e for e in _sorted_entries(entries) if e.order <= max_order]
+    selected = [e for e in _sorted_entries(entries)
+                if e.order <= CAPS["theorem1_max_order"]]
     observed_equal: list[tuple[str, int]] = []
     expected_equal: list[tuple[str, int]] = []
     for e in selected:
@@ -415,37 +419,19 @@ def _vector_perm(p: int, dim: int, mat) -> np.ndarray:
 
 def _spin_irreducible(p: int, dim: int, mats) -> bool:
     """No proper nonzero invariant subspace: the spin of every nonzero
-    vector under the generators spans the whole space."""
-    for v in vectors(p, np.arange(1, p ** dim), dim).tolist():
-        basis: list[list[int]] = []
-        frontier = [v]
-        while frontier:
-            vec = frontier.pop()
-            vec = _reduce_against(vec, basis, p)
-            if vec is None:
-                continue
-            basis.append(vec)
-            if len(basis) == dim:
-                break
-            for m in mats:
-                frontier.append(
-                    [sum(m[i][j] * vec[j] for j in range(dim)) % p
-                     for i in range(dim)])
-        if len(basis) < dim:
-            return False
+    vector under the generators spans the whole space.  A span grows to the
+    row space of itself and its images, by `chartab.rref_mod`, and is
+    invariant once the rank stops growing."""
+    mats = [np.asarray(M) for M in mats]
+    for v in vectors(p, np.arange(1, p ** dim), dim):
+        span = v[None]
+        while len(span) < dim:
+            R, pivots = chartab.rref_mod(
+                np.concatenate([span] + [span @ M.T for M in mats]), p)
+            if len(pivots) == len(span):
+                return False
+            span = R[:len(pivots)]
     return True
-
-
-def _reduce_against(vec, basis, p):
-    vec = list(vec)
-    for b in basis:
-        lead = next(i for i, x in enumerate(b) if x)
-        if vec[lead]:
-            c = vec[lead] * pow(b[lead], -1, p) % p
-            vec = [(x - c * y) % p for x, y in zip(vec, b)]
-    if any(vec):
-        return vec
-    return None
 
 
 def check_module_bound(H: PermGroup, p: int, mats, case_id: str) -> CaseRecord:

@@ -8,13 +8,14 @@ Provides exact order via a deterministic stabilizer chain (Sims'
 Schreier-Sims: levels closed deepest first, and the levels below each new
 strong generator closed again before the next Schreier generator; a level's
 Schreier generators are sifted as batches of rows, and each level is stored
-once, as arrays that the rank index reads too), a rank index on the
-chain that numbers the elements 0..|G|-1, conjugacy classes labelled over
-those ranks by array operations (a class table is one class id per rank),
-p-part decomposition, class counts, power maps on classes, and quotient
-groups by coset action (a coset xN is named
-by its canonical member, the one with the least base images on N's chain,
-and the cosets are enumerated in batches of rows).
+once, as arrays that the rank index reads too), one scalar strip through
+the chain (`contains`, and the rank that `ClassTable.class_of` reads), a
+rank index on the chain that numbers the elements 0..|G|-1, conjugacy
+classes labelled over those ranks by array operations (a class table is one
+class id per rank), p-part decomposition, class counts, power maps on
+classes, and quotient groups by coset action (a coset xN is named by its
+canonical member, the one with the least base images on N's chain, and the
+cosets are enumerated in batches of rows).
 """
 
 from dataclasses import dataclass
@@ -202,13 +203,18 @@ class StabilizerChain:
         return [dict(zip(np.flatnonzero(position >= 0).tolist(), forward))
                 for position, forward, _ in self.levels]
 
-    def strip(self, g: np.ndarray):
-        for i, (b, (position, _, inv)) in enumerate(zip(self.base, self.levels)):
-            pos = position[g[b]]
+    def strip(self, g: np.ndarray) -> tuple[np.ndarray, list[int]]:
+        """The residue of g stripped level by level, and the orbit position
+        of the transversal row used at each level passed; fewer positions
+        than levels where a base image leaves its orbit."""
+        positions = []
+        for b, (position, _, inv) in zip(self.base, self.levels):
+            pos = int(position[g[b]])
             if pos < 0:
-                return g, i
+                break
+            positions.append(pos)
             g = inv[pos][g]
-        return g, len(self.base)
+        return g, positions
 
     def _fixed_level(self, g: np.ndarray) -> int:
         """Number of leading base points fixed by g."""
@@ -365,8 +371,8 @@ class StabilizerChain:
     def contains(self, g: np.ndarray) -> bool:
         if len(g) != self.degree:
             return False
-        residue, level = self.strip(g)
-        return level == len(self.base) and is_identity(residue)
+        residue, positions = self.strip(g)
+        return len(positions) == len(self.base) and is_identity(residue)
 
     @cached_property
     def index(self) -> "RankIndex":
@@ -453,18 +459,6 @@ class RankIndex:
                 images[:, i + 1:] = _gather_rows(inv, pos, images[:, i + 1:])
         ranks[outside] = -1
         return ranks
-
-    def sift_one(self, perm: np.ndarray) -> int:
-        """Rank of one permutation, -1 if it is outside the group: strip it
-        level by level and require the identity as the residue."""
-        rank = 0
-        for b, (position, _, inv, radix) in zip(self.base.tolist(), self.levels):
-            pos = int(position[perm[b]])
-            if pos < 0:
-                return -1
-            rank += pos * radix
-            perm = inv[pos][perm]
-        return rank if is_identity(perm) else -1
 
     def sift(self, perms) -> np.ndarray:
         """Ranks of the given permutations, -1 for rows outside the group: a
@@ -608,10 +602,14 @@ class ClassTable:
         return self.class_id[ranks]
 
     def class_of(self, x) -> int:
-        rank = self.group.chain.index.sift_one(as_perm(x, self.group.degree))
-        if rank < 0:
+        """Class index of one element: its strip through the chain gives the
+        rank sum p_i * radix_i, and a member strips to the identity."""
+        chain = self.group.chain
+        residue, positions = chain.strip(as_perm(x, self.group.degree))
+        if len(positions) < len(chain.base) or not is_identity(residue):
             raise ValueError("element not in the enumerated group")
-        return int(self.class_id[rank])
+        return int(self.class_id[sum(pos * radix for pos, (_, _, _, radix)
+                                     in zip(positions, chain.index.levels))])
 
 
 def check_class_cap(order: int, cap: int) -> None:

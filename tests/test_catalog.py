@@ -3,14 +3,11 @@
 import hashlib
 from math import gcd
 
-import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from regclass import catalog, gf
 from regclass.catalog import (default_catalog, entry_by_key, family_order,
-                              mat_inv, mat_mul, projective_points, sl2_center)
+                              projective_points, sl2_center)
 from regclass.permgroup import (PermGroup, compose, conjugacy_classes,
                                 conjugate, inverse, is_identity)
 
@@ -143,23 +140,6 @@ def test_projective_points_match_the_full_enumeration(monkeypatch):
         F = gf.make_field(ell, f)
         assert projective_points(F, dim).tolist() == \
             _reference_projective_points(F, dim)
-
-
-@given(st.integers(0, 5**9 - 1))
-def test_mat_inv_over_gf5(code):
-    F = gf.make_field(5, 1)
-    entries = []
-    c = code
-    for _ in range(9):
-        c, r = divmod(c, 5)
-        entries.append(r)
-    A = np.array(entries).reshape(3, 3)
-    try:
-        Ainv = mat_inv(F, A)
-    except ZeroDivisionError:
-        return  # singular
-    assert (mat_mul(F, A, Ainv) == np.eye(3)).all()
-    assert (mat_mul(F, Ainv, A) == np.eye(3)).all()
 
 
 def test_catalog_is_frozen():

@@ -56,3 +56,12 @@ def test_bound_on_valid_grid_points(capsys):
     assert main(["bound", "g2-pregular-orbit-threshold", "--grid", "8", "9"]) == 1
     assert main(["bound", "g2-pregular-orbit-threshold", "--grid", "9"]) == 0
     assert main(["bound", "suzuki-pregular-orbit-threshold", "--grid", "128"]) == 0
+
+
+def test_verify_has_no_max_order_option(capsys):
+    """thm1 reads its order cap from `harness.CAPS`, which its report
+    records; argparse refuses the option with exit status 2."""
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "thm1", "--max-order", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --max-order 5" in capsys.readouterr().err

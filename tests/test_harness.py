@@ -4,7 +4,10 @@ import json
 import re
 from math import gcd
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from regclass.harness import (CAPS, SCHEMA_VERSION, CaseRecord,
                               VerificationReport, check_module_bound,
@@ -14,7 +17,7 @@ from regclass.harness import (CAPS, SCHEMA_VERSION, CaseRecord,
                               verify_lemma81, verify_table1, verify_theorem2)
 from regclass import chartab, harness
 from regclass.harness import _cyclic_perm_group, class_table_for
-from regclass.catalog import default_catalog, entry_by_key
+from regclass.catalog import default_catalog, entry_by_key, vectors
 from regclass.numtheory import GREATER
 from regclass.permgroup import CLASS_CAP, class_counts, conjugacy_classes
 
@@ -114,6 +117,55 @@ def test_check_module_bound_irreducible_2dim():
     # k(C3) = 3, orbits on V: {0} and the three nonzero vectors
     assert rec.computed == {"k_H": 3, "n_orbits": 2, "value": 4,
                             "threshold_cmp": 1, "sharp": False}
+
+
+def _reference_spin_irreducible(p, dim, mats):
+    """The spin as list arithmetic: each nonzero vector's images are reduced
+    one at a time against the basis found so far."""
+    for v in vectors(p, np.arange(1, p ** dim), dim).tolist():
+        basis = []
+        frontier = [v]
+        while frontier:
+            vec = _reference_reduce_against(frontier.pop(), basis, p)
+            if vec is None:
+                continue
+            basis.append(vec)
+            if len(basis) == dim:
+                break
+            for m in mats:
+                frontier.append(
+                    [sum(m[i][j] * vec[j] for j in range(dim)) % p
+                     for i in range(dim)])
+        if len(basis) < dim:
+            return False
+    return True
+
+
+def _reference_reduce_against(vec, basis, p):
+    vec = list(vec)
+    for b in basis:
+        lead = next(i for i, x in enumerate(b) if x)
+        if vec[lead]:
+            c = vec[lead] * pow(b[lead], -1, p) % p
+            vec = [(x - c * y) % p for x, y in zip(vec, b)]
+    return vec if any(vec) else None
+
+
+@st.composite
+def _linear_actions(draw):
+    """p in {2, 3, 5, 7}, dim with p^dim <= 343, and one or two matrices."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    dim = draw(st.integers(1, max(d for d in range(1, 9) if p ** d <= 343)))
+    row = st.lists(st.integers(0, p - 1), min_size=dim, max_size=dim)
+    matrix = st.lists(row, min_size=dim, max_size=dim)
+    return p, dim, draw(st.lists(matrix, min_size=1, max_size=2))
+
+
+@given(_linear_actions())
+def test_spin_matches_the_reference(case):
+    p, dim, mats = case
+    assert harness._spin_irreducible(p, dim, mats) == \
+        _reference_spin_irreducible(p, dim, mats)
 
 
 def test_is_sharp_frobenius():

@@ -302,9 +302,10 @@ def test_chain_is_a_bsgs(key):
         for x, t in tr.items():
             for s in gens:
                 assert int(s[x]) in tr
-                residue, depth = chain.strip(
+                residue, positions = chain.strip(
                     compose(inverse(tr[int(s[x])]), compose(s, t)))
-                assert depth == len(chain.base) and is_identity(residue)
+                assert len(positions) == len(chain.base)
+                assert is_identity(residue)
 
 
 def test_random_element_beyond_rank_index_cap():
@@ -350,7 +351,14 @@ def test_rank_inverts_unrank(key, data):
     elements = index.unrank(ranks)
     assert (index.rank(elements[:, index.base]) == ranks).all()
     assert (index.sift(elements) == ranks).all()
-    assert [index.sift_one(g) for g in elements] == ranks.tolist()
+    strips = [group.chain.strip(g) for g in elements]
+    assert all(is_identity(residue) for residue, _ in strips)
+    assert [sum(pos * radix for pos, (_, _, _, radix)
+                in zip(positions, index.levels))
+            for _, positions in strips] == ranks.tolist()
+    table = _table(key)
+    assert ([table.class_of(g) for g in elements]
+            == table.class_id[ranks].tolist())
     assert all(group.contains(g) for g in elements)
 
 
@@ -421,7 +429,9 @@ def test_class_of_rejects_member_base_images_outside_group(key, data):
         _table(key).class_of(fake)
     with pytest.raises(ValueError, match="not in the enumerated group"):
         _table(key).classes_of(np.stack([g, fake]))
-    assert index.sift_one(fake) == -1
+    # the base images are g's, so every level is passed, leaving g^-1 o fake
+    residue, positions = group.chain.strip(fake)
+    assert len(positions) == len(index.base) and not is_identity(residue)
 
 
 def _closure(start, step):
