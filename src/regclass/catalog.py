@@ -23,7 +23,7 @@ matrix is inverted: PSL3 moves lines by the inverse of the permutation that
 the transpose induces on points.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial, gcd
 

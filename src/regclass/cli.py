@@ -2,7 +2,7 @@
 
 Subcommands:
   catalog list                     catalog entries with orders and flags
-  classes <entry> [--cache DIR]    conjugacy class table of one entry
+  classes <entry>                  conjugacy class table of one entry
   verify <suite> [...]             run a verification suite
   bound <claim-id> [--grid ...]    certify a closed-form grid claim
   chartab <entry> --p P            character table and rationality counts
@@ -12,14 +12,15 @@ listed but do not fail the run.  An unknown entry, one outside a resource
 cap (e.g. a character table with more classes than `chartab.MAX_CLASSES`) or
 a `bound` grid point outside its claim's domain exits 2 with a one-line
 message on stderr.
+
+The disk caches are set by the environment variable `REGCLASS_CACHE_DIR`
+alone; no subcommand takes a cache option.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from fractions import Fraction
 
 from . import __version__, harness, liebounds
 from .catalog import default_catalog, entry_by_key
@@ -43,8 +44,6 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_classes(args) -> int:
-    if args.cache:
-        os.environ["REGCLASS_CACHE_DIR"] = args.cache
     entry_by_key(args.entry)  # validate the key early
     table = harness.class_table_for(args.entry)
     print(f"{args.entry}: order {table.group.order}, "
@@ -111,8 +110,6 @@ def main(argv=None) -> int:
 
     p_cls = sub.add_parser("classes", help="conjugacy class table of an entry")
     p_cls.add_argument("entry")
-    p_cls.add_argument("--cache", help="cache directory (overrides "
-                       "REGCLASS_CACHE_DIR)")
     p_cls.set_defaults(func=_cmd_classes)
 
     p_ver = sub.add_parser("verify", help="run a verification suite")

@@ -20,7 +20,7 @@ import json
 import os
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__
 from .autorbits import fuse_classes, orbit_counts
 from .catalog import (CatalogEntry, default_catalog, entry_by_key, linear_perm,
-                      vectors)
+                      projective_points, vectors)
 from .gf import make_field
 from .numtheory import EQUAL, GREATER, LESS, cmp_threshold, factorize
 from .permgroup import (CLASS_CAP, ConsistencyError, PermGroup, as_perm,
@@ -419,11 +419,13 @@ def _vector_perm(p: int, dim: int, mat) -> np.ndarray:
 
 def _spin_irreducible(p: int, dim: int, mats) -> bool:
     """No proper nonzero invariant subspace: the spin of every nonzero
-    vector under the generators spans the whole space.  A span grows to the
-    row space of itself and its images, by `chartab.rref_mod`, and is
-    invariant once the rank stops growing."""
+    vector under the generators spans the whole space.  The multiples of a
+    vector span the same subspace, so one vector per line is spun: those
+    whose first nonzero coordinate is 1.  A span grows to the row space of
+    itself and its images, by `chartab.rref_mod`, and is invariant once the
+    rank stops growing."""
     mats = [np.asarray(M) for M in mats]
-    for v in vectors(p, np.arange(1, p ** dim), dim):
+    for v in projective_points(make_field(p, 1), dim):
         span = v[None]
         while len(span) < dim:
             R, pivots = chartab.rref_mod(

@@ -2,10 +2,10 @@
 
 Factorization, totients, cyclotomic polynomial coefficients and values
 (including the twisted Suzuki/Ree variants), prime-power decompositions,
-multiplicative orders and primitive roots, partition counts, primitive
-prime divisors, and exact comparison of integers against the irrational
-thresholds 2*sqrt(p-1) and 2*(p-1)**(1/4).  Everything here is
-integer/rational arithmetic; no floating point is used anywhere.
+multiplicative orders and primitive roots, partition counts, and exact
+comparison of integers against the irrational thresholds 2*sqrt(p-1) and
+2*(p-1)**(1/4).  Everything here is integer/rational arithmetic; no
+floating point is used anywhere.
 """
 
 from dataclasses import dataclass
@@ -330,22 +330,6 @@ def odd_partition_count(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# primitive prime divisors
-# ---------------------------------------------------------------------------
-
-def is_primitive_prime_divisor(p: int, q: int, n: int) -> bool:
-    """True iff p divides q**n - 1 but no q**k - 1 with 1 <= k < n.
-
-    Equivalent to: the multiplicative order of q mod p is exactly n.
-    """
-    if not is_prime(p):
-        raise ValueError("p must be prime")
-    if q < 2 or n < 1:
-        raise ValueError("require q >= 2, n >= 1")
-    return q % p != 0 and multiplicative_order(q, p) == n
-
-
-# ---------------------------------------------------------------------------
 # exact threshold comparison
 # ---------------------------------------------------------------------------
 
@@ -461,7 +445,7 @@ __all__ = [
     "Factorization", "Enclosure", "factorize", "is_prime", "euler_phi",
     "p_part", "cyclotomic_coeffs", "cyclotomic_value", "twisted_cyclotomic",
     "divisors", "partition_count", "odd_partition_count",
-    "is_primitive_prime_divisor", "multiplicative_order", "primitive_root",
+    "multiplicative_order", "primitive_root",
     "prime_power_decomposition", "cmp_threshold", "LESS", "EQUAL", "GREATER",
     "e_enclosure", "sqrt_enclosure", "gcd", "lcm",
 ]

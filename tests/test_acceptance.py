@@ -16,10 +16,11 @@ from regclass.catalog import default_catalog, entry_by_key
 from regclass.harness import (built_entry, class_table_for, fused_partition,
                               quotient_pairs, verify_lemma72, verify_lemma81,
                               verify_table1, verify_theorem1, verify_theorem3)
-from regclass.liebounds import (LieParams, claim_info, grid_certify,
-                                orthogonal_unipotent_lower,
-                                symplectic_kpprime_lower, thm4_certify)
-from regclass.numtheory import (EQUAL, GREATER, LESS, cmp_threshold,
+from regclass.chartab import MAX_ORDER
+from regclass.liebounds import (LieParams, _chain_lower_bound, claim_info,
+                                grid_certify, orthogonal_unipotent_lower,
+                                symplectic_kpprime_lower_formula, thm4_certify)
+from regclass.numtheory import (EQUAL, GREATER, LESS, Enclosure, cmp_threshold,
                                 cyclotomic_value, divisors, factorize)
 from regclass.gf import make_field
 from regclass.permgroup import (burnside_class_count, class_counts, compose,
@@ -228,14 +229,27 @@ def test_rank_power_bound_on_psl2():
             assert cert.verdict == GREATER, (q, p)
 
 
-def test_symplectic_bounds_dominated_by_brute_force():
-    for key, n, q, primes in [("sp4(2)", 2, 2, (3, 5)), ("sp4(3)", 2, 3, (5,))]:
-        table = class_table_for(key)
-        for p in primes:
-            brute = class_counts(table, p).k_p_prime
-            assert symplectic_kpprime_lower(n, q, p) <= brute
-            assert symplectic_kpprime_lower(
-                n, q, p, odd_dimensional=True) <= brute
+def test_chain_lower_bound_below_exact_counts():
+    """The closed-form chain is a lower bound on k_{p'} for every prime p:
+    on every psl2 entry up to the character-table order cap (family A,
+    r = 1, where no other check reaches the chain) and on sp4(2), sp4(3)
+    (family C, r = 2), whose symplectic partition formula is checked too.
+    An enclosure is compared by its upper end."""
+    cases = [(e, LieParams("A", 1, e.params[0])) for e in default_catalog()
+             if e.family == "psl2" and e.order <= MAX_ORDER]
+    cases += [(entry_by_key(f"sp4({q})"), LieParams("C", 2, q))
+              for q in (2, 3)]
+    assert len(cases) == 15
+    for e, params in cases:
+        chain = _chain_lower_bound(params)
+        upper = chain.hi if isinstance(chain, Enclosure) else chain
+        table = class_table_for(e.key)
+        for p in factorize(e.order).primes():
+            kpp = class_counts(table, p).k_p_prime
+            assert upper <= kpp, (e.key, p)
+            if params.family == "C":
+                assert symplectic_kpprime_lower_formula(2, params.q) <= kpp, \
+                    (e.key, p)
 
 
 # ---------------------------------------------------------------------------

@@ -65,3 +65,12 @@ def test_verify_has_no_max_order_option(capsys):
         main(["verify", "thm1", "--max-order", "5"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --max-order 5" in capsys.readouterr().err
+
+
+def test_classes_has_no_cache_option(capsys):
+    """The disk caches are set by `REGCLASS_CACHE_DIR` alone; argparse
+    refuses the option with exit status 2."""
+    with pytest.raises(SystemExit) as exc:
+        main(["classes", "alt(5)", "--cache", "x"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --cache x" in capsys.readouterr().err

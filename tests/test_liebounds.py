@@ -1,19 +1,14 @@
 """Lie-type class-count bounds and grid certifications."""
 
 from fractions import Fraction
-from math import gcd
 
 import pytest
 import sympy
 
-from regclass.liebounds import (LieParams, claim_info, exceptional_data,
-                                grid_certify, grid_claims, min_centralizer_H,
-                                orthogonal_semisimple_orbit_lower,
+from regclass.liebounds import (LieParams, _H_enclosure, claim_info,
+                                grid_certify, grid_claims,
                                 orthogonal_unipotent_lower,
                                 prime_power_decomposition, prime_powers,
-                                psl_torus_orbit_bound, semisimple_class_count,
-                                ssc_multi_torus_pprime, ssc_torus_bounds,
-                                symplectic_kpprime_lower,
                                 symplectic_kpprime_lower_formula, thm4_certify)
 from regclass.numtheory import EQUAL, GREATER, LESS
 
@@ -28,31 +23,12 @@ def test_prime_power_decomposition():
     assert prime_powers(7, 13) == [7, 8, 9, 11, 13]
 
 
-def test_lieparams_diagonal_and_outer_orders():
-    # frozen from the standard |Out(S)| tables
-    cases = [
-        (("A", 1, 7), 2, 2),     # PSL2(7)
-        (("A", 1, 9), 2, 4),     # PSL2(9)
-        (("A", 2, 4), 3, 12),    # PSL3(4)
-        (("2A", 2, 3), 1, 2),    # PSU3(3)
-        (("C", 2, 3), 2, 2),     # PSp4(3)
-        (("2B2", 2, 8), 1, 3),   # Sz(8)
-        (("G2", 2, 3), 1, 2),    # G2(3) has the extra graph automorphism
-        (("G2", 2, 4), 1, 2),    # G2(4): out = f only
-        (("3D4", 4, 2), 1, 3),
-        (("E8", 8, 2), 1, 1),
-    ]
-    for args, d, out in cases:
-        params = LieParams(*args)
-        assert (params.d, params.out_order) == (d, out), args
-
-
 def test_rank_power_half_exponent_convention():
     assert LieParams("2B2", 2, 8).rank_power == 8
     assert LieParams("2G2", 2, 27).rank_power == 27
     assert LieParams("2F4", 4, 8).rank_power == 64
     assert LieParams("A", 3, 2).rank_power == 8
-    assert semisimple_class_count(LieParams("C", 2, 3)) == 9
+    assert LieParams("C", 2, 3).rank_power == 9
 
 
 def test_lieparams_validation():
@@ -66,6 +42,15 @@ def test_lieparams_validation():
         LieParams("2B2", 2, 4)     # needs an odd power of 2
     with pytest.raises(ValueError):
         LieParams("2G2", 2, 9)     # needs an odd power of 3
+    # ranks at which a classical family has no simple group of its own
+    for args in [("D", 3, 3), ("D", 2, 3), ("D", 1, 2), ("2D", 3, 2),
+                 ("2A", 1, 3), ("B", 1, 3), ("C", 1, 3)]:
+        with pytest.raises(ValueError):
+            LieParams(*args)
+    # the least valid ranks, PSU3(3) and PSp4(3) among them
+    for args in [("A", 1, 2), ("2A", 2, 3), ("B", 2, 3), ("C", 2, 3),
+                 ("D", 4, 2), ("2D", 4, 2)]:
+        assert LieParams(*args).r == args[1]
 
 
 def test_thm4_certify_with_observed_count():
@@ -86,43 +71,14 @@ def test_thm4_chain_verdicts():
     assert thm4_certify(LieParams("E8", 8, 2)).verdict == LESS
 
 
-def test_psl_torus_orbit_bound():
-    # n=2, q=121: torus order (q+1)/2 = 61, f = 2
-    assert psl_torus_orbit_bound(2, 121, 61, 1) == Fraction(60, 4)
-    assert psl_torus_orbit_bound(2, 121, 7, 1) == Fraction(60, 4)  # phi(61)/4
-    # n=3, q=2: torus order 7
-    assert psl_torus_orbit_bound(3, 2, 7, 2) == Fraction(6, 6)
-    assert psl_torus_orbit_bound(3, 2, 3, 2) == Fraction(6, 6)  # phi(7)/6
-    with pytest.raises(ValueError):
-        psl_torus_orbit_bound(2, 5, 3, 2)
-    with pytest.raises(ValueError):
-        psl_torus_orbit_bound(3, 5, 3, 1)
-
-
-def test_ssc_torus_bounds():
-    # C5 < A5 with |N/T| = 2
-    assert ssc_torus_bounds(60, 5, 2, True) == (Fraction(1, 2), Fraction(2, 5))
-    assert ssc_torus_bounds(60, 5, 2, False) == (Fraction(2, 5), Fraction(0))
-    assert ssc_multi_torus_pprime([2, 2]) == Fraction(2, 3)
-    assert ssc_multi_torus_pprime([]) == 0
-    with pytest.raises(ValueError):
-        ssc_torus_bounds(60, 5, 0, True)
-    with pytest.raises(ValueError):
-        ssc_torus_bounds(60, 7, 2, True)  # 7 does not divide 60
-
-
 def test_min_centralizer_bracket():
     # split case with q^1 >= n+1: the value is exactly 1/e
-    h = min_centralizer_H(4, 5, 1)
+    h = _H_enclosure(4, 5, 1)
     assert h.lo < Fraction(36788, 100000)
     assert h.hi > Fraction(36787, 100000)
     # twisted case: enclosure is positive and nontrivial
-    hm = min_centralizer_H(4, 3, -1)
+    hm = _H_enclosure(4, 3, -1)
     assert 0 < hm.lo <= hm.hi
-    with pytest.raises(ValueError):
-        min_centralizer_H(3, 5, 1)
-    with pytest.raises(ValueError):
-        min_centralizer_H(4, 5, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -151,22 +107,6 @@ def test_symplectic_formula_against_oracle():
             assert symplectic_kpprime_lower_formula(n, q) == expected, (n, q)
 
 
-def test_symplectic_kpprime_lower_variants():
-    assert symplectic_kpprime_lower(2, 2, 3) == symplectic_kpprime_lower_formula(2, 2)
-    # odd-dimensional orthogonal variant, odd q
-    n, q = 3, 3
-    part = sum(int(sympy.partition(i)) * _odd_part_count(2 * n + 1 - 4 * i)
-               for i in range((2 * n + 1) // 4 + 1))
-    assert symplectic_kpprime_lower(n, q, 5, odd_dimensional=True) == \
-        part + -((2 - q**n) // (4 * n))
-    with pytest.raises(ValueError):
-        symplectic_kpprime_lower(2, 3, 2)   # p must be odd
-    with pytest.raises(ValueError):
-        symplectic_kpprime_lower(2, 9, 3)   # p | q
-    with pytest.raises(ValueError):
-        symplectic_kpprime_lower(1, 3, 5)
-
-
 def test_orthogonal_lower_bounds():
     # odd q: partition-pair sum
     for n in (4, 5, 8):
@@ -177,63 +117,8 @@ def test_orthogonal_lower_bounds():
     # even q, frozen small values
     assert orthogonal_unipotent_lower(4, 2, -1) == 4   # p(3) + p(1)
     assert orthogonal_unipotent_lower(4, 2, 1) == 7    # p(4) + 2 p(0)
-    # semisimple orbit bound, computed by hand for n=5, q=3, eps=+, p=7
-    assert orthogonal_semisimple_orbit_lower(5, 3, 1, 7) == 3
     with pytest.raises(ValueError):
         orthogonal_unipotent_lower(3, 3, 1)
-    with pytest.raises(ValueError):
-        orthogonal_semisimple_orbit_lower(4, 3, 1, 7)   # excluded case
-    with pytest.raises(ValueError):
-        orthogonal_semisimple_orbit_lower(5, 3, 1, 2)   # p must be odd
-
-
-# ---------------------------------------------------------------------------
-# exceptional-family data against closed-form order formulas
-# ---------------------------------------------------------------------------
-
-ORDER_FORMULAS = {
-    "2B2": lambda q: q**2 * (q**2 + 1) * (q - 1),
-    "2G2": lambda q: q**3 * (q**3 + 1) * (q - 1),
-    "2F4": lambda q: q**12 * (q**6 + 1) * (q**4 - 1) * (q**3 + 1) * (q - 1),
-    "G2": lambda q: q**6 * (q**6 - 1) * (q**2 - 1),
-    "3D4": lambda q: q**12 * (q**8 + q**4 + 1) * (q**6 - 1) * (q**2 - 1),
-    "F4": lambda q: q**24 * (q**2 - 1) * (q**6 - 1) * (q**8 - 1) * (q**12 - 1),
-    "E6": lambda q: q**36 * (q**2 - 1) * (q**5 - 1) * (q**6 - 1) * (q**8 - 1)
-    * (q**9 - 1) * (q**12 - 1) // gcd(3, q - 1),
-    "2E6": lambda q: q**36 * (q**2 - 1) * (q**5 + 1) * (q**6 - 1) * (q**8 - 1)
-    * (q**9 + 1) * (q**12 - 1) // gcd(3, q + 1),
-    "E7": lambda q: q**63 * (q**2 - 1) * (q**6 - 1) * (q**8 - 1) * (q**10 - 1)
-    * (q**12 - 1) * (q**14 - 1) * (q**18 - 1) // gcd(2, q - 1),
-    "E8": lambda q: q**120 * (q**2 - 1) * (q**8 - 1) * (q**12 - 1)
-    * (q**14 - 1) * (q**18 - 1) * (q**20 - 1) * (q**24 - 1) * (q**30 - 1),
-}
-SAMPLE_Q = {"2B2": 8, "2G2": 27, "2F4": 8, "G2": 3, "3D4": 2, "F4": 2,
-            "E6": 2, "2E6": 2, "E7": 2, "E8": 2}
-
-
-@pytest.mark.parametrize("family", sorted(ORDER_FORMULAS))
-def test_exceptional_group_orders(family):
-    data = exceptional_data(family)
-    q = SAMPLE_Q[family]
-    order = data.group_order(q)
-    assert order == ORDER_FORMULAS[family](q)
-    # every listed torus order divides the group order, with w >= 1
-    for t_order, w in data.torus_list(q):
-        assert t_order > 1 and w >= 1
-        assert order % t_order == 0
-    # the maximal-prime bound divides the order too
-    assert order % data.max_prime_bound(q) == 0
-
-
-def test_exceptional_known_values():
-    assert exceptional_data("2B2").group_order(8) == 29120
-    assert exceptional_data("G2").group_order(4) == 251596800
-    assert exceptional_data("3D4").group_order(2) == 211341312
-    assert exceptional_data("2B2").max_prime_bound(8) == 13
-    assert exceptional_data("2B2").max_prime_bound(32) == 41
-    assert exceptional_data("G2").max_prime_bound(3) == 13
-    with pytest.raises(ValueError):
-        exceptional_data("A")
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from regclass.numtheory import (EQUAL, GREATER, LESS, Enclosure,
                                 cmp_threshold, cyclotomic_value, divisors,
                                 e_enclosure, euler_phi, factorize, is_prime,
-                                is_primitive_prime_divisor,
                                 multiplicative_order, odd_partition_count,
                                 p_part, partition_count, primitive_root,
                                 sqrt_enclosure, twisted_cyclotomic)
@@ -162,19 +161,6 @@ def test_primitive_root_is_the_least_one():
                 primitive_root(m)
         else:
             assert primitive_root(m) == expected
-
-
-# ---------------------------------------------------------------------------
-# primitive prime divisors
-# ---------------------------------------------------------------------------
-
-@given(st.sampled_from([3, 5, 7, 11, 13, 17, 73, 127, 257]),
-       st.integers(min_value=2, max_value=10),
-       st.integers(min_value=1, max_value=12))
-def test_primitive_prime_divisor_oracle(p, q, n):
-    expected = (q % p != 0 and pow(q, n, p) == 1
-                and all(pow(q, k, p) != 1 for k in range(1, n)))
-    assert is_primitive_prime_divisor(p, q, n) == expected
 
 
 # ---------------------------------------------------------------------------
