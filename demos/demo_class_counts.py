@@ -9,8 +9,6 @@ certify the bound k_p + k_{p'} >= 2*sqrt(p-1) with pure integer arithmetic
 Run:  python3 demos/demo_class_counts.py
 """
 
-from fractions import Fraction
-
 from regclass.catalog import entry_by_key
 from regclass.numtheory import EQUAL, GREATER, cmp_threshold, factorize
 from regclass.permgroup import class_counts, conjugacy_classes
@@ -27,7 +25,7 @@ def describe(key: str) -> None:
     for p in factorize(group.order).primes():
         cc = class_counts(table, p)
         total = cc.k_p + cc.k_p_prime
-        cmp = cmp_threshold(total, p, Fraction(1, 2))
+        cmp = cmp_threshold(total, p)
         sym = VERDICT.get(cmp, "<")
         print(f"  p = {p:3}:  k_p = {cc.k_p:3}  k_p' = {cc.k_p_prime:3}  "
               f"sum {total:3} {sym} 2*sqrt({p - 1})")

@@ -31,15 +31,18 @@ power map times the o x o matrix of roots z^(-(e/o)*s*u) is the matrix of
 eigenvalue multiplicities of all characters on that class; one matrix
 product mod P per class replaces a scalar loop over (character, s, u).
 
-Row and column orthogonality are verified exactly before a table is returned
-(and again when a cached table is loaded) modulo auxiliary primes Q = 1
-(mod e).  An inner product minus its constant is a cyclotomic integer beta
-whose conjugates are all at most S (the coefficient mass plus |G|) in
-absolute value; if it vanishes mod Q at every embedding zeta -> z^k, it lies
-in Q Z[zeta], so once the product of the primes exceeds S its norm forces
-beta = 0.  Each distinct value is evaluated at z and z^-1 only, once per
-prime: once every generator of the units mod e is seen to permute the rows,
-the Galois action carries the check to every primitive e-th root.
+A table is finished in one place, `_from_mod_values`, from its values mod P:
+a fresh build gets them from the eigenvectors, a cache load reads them from
+the file.  Either way the degrees, mod-P orthogonality, the lift and exact
+row and column orthogonality are checked before a table is returned, the
+last modulo auxiliary primes Q = 1 (mod e).  An inner product minus its
+constant is a cyclotomic integer beta whose conjugates are all at most S
+(the coefficient mass plus |G|) in absolute value; if it vanishes mod Q at
+every embedding zeta -> z^k, it lies in Q Z[zeta], so once the product of
+the primes exceeds S its norm forces beta = 0.  Each distinct value is
+evaluated at z and z^-1 only, once per prime: once every generator of the
+units mod e is seen to permute the rows, the Galois action carries the check
+to every primitive e-th root.
 
 Every question "fixed by the subgroup {k = 1 mod m} of the units mod e" is
 read off a table over the units by masking its columns.  On the character
@@ -59,8 +62,8 @@ from math import gcd
 
 import numpy as np
 
-from .numtheory import (divisors, factorize, is_prime, p_part,
-                        primitive_root)
+from .numtheory import (cmp_threshold, divisors, factorize, is_prime,
+                        p_part, primitive_root)
 from .permgroup import (CHUNK, ClassTable, ConsistencyError, PermGroup,
                         ResourceLimitError, class_counts, power_class_map)
 
@@ -88,20 +91,6 @@ class CycValue:
         pairs = sorted((s * k % self.e, m) for s, m in zip(self.support, self.mults))
         return CycValue(self.e, tuple(s for s, _ in pairs),
                         tuple(m for _, m in pairs))
-
-    def conjugate(self) -> "CycValue":
-        return self.galois(self.e - 1 if self.e > 1 else 0)
-
-    def is_rational_integer(self) -> bool:
-        return all(s == 0 for s in self.support)
-
-    def as_integer(self) -> int:
-        if not self.is_rational_integer():
-            raise ValueError("value is not a rational integer")
-        return sum(self.mults)
-
-    def total_mass(self) -> int:
-        return sum(self.mults)
 
     def dense_key(self) -> tuple:
         """Sort key ordering values as their dense length-e multiplicity
@@ -479,10 +468,16 @@ def character_table(group: PermGroup, table: ClassTable) -> CharacterTable:
         raise ResourceLimitError(f"{K} classes exceeds cap {MAX_CLASSES}")
     if n > MAX_ORDER:
         raise ResourceLimitError(f"group order {n} exceeds cap {MAX_ORDER}")
-    e = table.exponent
-    P = dixon_prime(e, n)
+    P = dixon_prime(table.exponent, n)
+    return _from_mod_values(table, _mod_table(table, P), P)
 
-    # --- simultaneous eigenvectors of the class matrices over GF(P) --------
+
+def _mod_table(table: ClassTable, P: int) -> np.ndarray:
+    """The K x K character table mod P, one row per character in the order
+    the eigenspaces split, from simultaneous eigenvectors of the class
+    matrices over GF(P)."""
+    K = len(table.classes)
+    n = table.group.order
     # each subspace is (basis B, pivot rows R) with B[R] = I; class i is
     # computed only at the pivot rows of the subspaces still to be split
     subspaces = [(np.eye(K, dtype=np.int64), np.arange(K))]
@@ -516,13 +511,11 @@ def character_table(group: PermGroup, table: ClassTable) -> CharacterTable:
         if not np.array_equal(M @ W % P, W[i] * W[rows] % P):
             raise ConsistencyError(f"eigenvectors fail class matrix {i} "
                                    "at its computed rows")
-    power = table.power
-    inv_class = [int(pw[-1]) for pw in power]
-    sizes = np.array([c.size for c in table.classes], dtype=np.int64)
-    size_inv = np.array([pow(int(s), -1, P) for s in sizes], dtype=np.int64)
+    inv_class = [int(pw[-1]) for pw in table.power]
+    size_inv = np.array([pow(int(s), -1, P) for s in table.sizes],
+                        dtype=np.int64)
     group_divisors = divisors(n)
     rows_mod = []
-    degrees = []
     for w in W.T:
         s = int(np.sum(w * w[inv_class] % P * size_inv % P) % P)
         d_sq = n * pow(s, -1, P) % P
@@ -531,12 +524,27 @@ def character_table(group: PermGroup, table: ClassTable) -> CharacterTable:
         if d is None:
             raise ConsistencyError("no degree matches the eigenvector")
         rows_mod.append(d * w % P * size_inv % P)
-        degrees.append(d)
+    return np.stack(rows_mod)
+
+
+def _from_mod_values(table: ClassTable, mod_values: np.ndarray,
+                     P: int) -> CharacterTable:
+    """The verified character table whose values mod P are `mod_values`
+    (entries in [0, P), rows in any order): the degrees are its identity
+    column, their squares must sum to |G|, the rows must be orthogonal mod
+    P, the lift must reproduce them, and the canonically sorted table must
+    pass exact orthogonality."""
+    n = table.group.order
+    e = table.exponent
+    degrees = mod_values[:, 0].tolist()
     if sum(d * d for d in degrees) != n:
         raise ConsistencyError("degree squares do not sum to the group order")
-
-    mod_values = np.stack(rows_mod)
-    _check_mod_orthogonality(mod_values, sizes, inv_class, n, P)
+    power = table.power
+    conj = mod_values[:, [int(pw[-1]) for pw in power]]
+    sizes = np.array(table.sizes, dtype=np.int64)
+    gram = (mod_values * sizes % P) @ conj.T % P
+    if not np.array_equal(gram, n % P * np.eye(len(degrees), dtype=np.int64)):
+        raise ConsistencyError("mod-P row orthogonality failed")
 
     # --- exact lift, canonical ordering by (degree, lexicographic values) --
     # rows compare as their tuples of value ranks, each distinct value
@@ -547,23 +555,13 @@ def character_table(group: PermGroup, table: ClassTable) -> CharacterTable:
     rank = np.empty(len(distinct), dtype=np.int64)
     rank[by_key] = np.arange(len(distinct))
     ranks = rank[value_id].tolist()
-    order = sorted(range(K), key=lambda r: (degrees[r], ranks[r]))
-    values = tuple(values[i] for i in order)
-    degrees = [degrees[i] for i in order]
-    mod_values = mod_values[order]
-
-    result = CharacterTable(table=table, degrees=degrees, values=values,
-                            exponent=e, modular_prime=P, mod_values=mod_values)
+    order = sorted(range(len(degrees)), key=lambda r: (degrees[r], ranks[r]))
+    result = CharacterTable(table=table, degrees=[degrees[i] for i in order],
+                            values=tuple(values[i] for i in order),
+                            exponent=e, modular_prime=P,
+                            mod_values=mod_values[order])
     _verify_exact_orthogonality(result)
     return result
-
-
-def _check_mod_orthogonality(chi: np.ndarray, sizes, inv_class, n, P):
-    K = len(chi)
-    conj = chi[:, inv_class]
-    gram = chi * sizes[None, :] @ conj.T % P
-    if not np.array_equal(gram % P, (n % P) * np.eye(K, dtype=np.int64) % P):
-        raise ConsistencyError("mod-P row orthogonality failed")
 
 
 def _verify_exact_orthogonality(ct: CharacterTable):
@@ -580,14 +578,13 @@ def _verify_exact_orthogonality(ct: CharacterTable):
     |N(beta)| <= S^phi(e).  So prod Q_i > S forces beta = 0.
 
     Only zeta -> z^(+-1) is evaluated; the Galois action gives the other
-    embeddings.  The values are the lift of mod_values: a fresh build has
-    this by construction, and `load_character_table` checks it right after
-    this function, accepting a load only when both checks pass.  So
-    sigma_k(chi) is chi read along g -> g^k, the lift of that mod-P row.  If
-    each generator k of the units mod e maps the rows of mod_values onto the
-    rows, every sigma_k therefore permutes the characters: the row Gram
-    matrix at z^k is the one at z with its rows and columns permuted, and
-    the column Gram matrix is the one at z."""
+    embeddings.  The values are the lift of mod_values, since
+    `_from_mod_values` computes them from it, whether the table was built or
+    loaded.  So sigma_k(chi) is chi read along g -> g^k, the lift of that
+    mod-P row.  If each generator k of the units mod e maps the rows of
+    mod_values onto the rows, every sigma_k therefore permutes the
+    characters: the row Gram matrix at z^k is the one at z with its rows
+    and columns permuted, and the column Gram matrix is the one at z."""
     e = ct.exponent
     n = ct.table.group.order
     sizes = np.array(ct.table.sizes, dtype=np.int64)
@@ -659,10 +656,6 @@ class CharacterCounts:
 
 
 def character_count_report(ct: CharacterTable, p: int) -> CharacterCounts:
-    from fractions import Fraction
-
-    from .numtheory import cmp_threshold
-    half = Fraction(1, 2)
     flags = classify_rationality(ct, p)
     n_union = sum(f.is_p_rational or f.is_p_prime_rational for f in flags)
     n_qp_union = sum(f.is_p_rational or f.is_Qp_valued for f in flags)
@@ -673,8 +666,8 @@ def character_count_report(ct: CharacterTable, p: int) -> CharacterCounts:
         n_union=n_union,
         n_rational=sum(f.is_rational for f in flags),
         n_qp_union=n_qp_union,
-        union_vs_bound=cmp_threshold(n_union, p, half),
-        qp_union_vs_bound=cmp_threshold(n_qp_union, p, half),
+        union_vs_bound=cmp_threshold(n_union, p),
+        qp_union_vs_bound=cmp_threshold(n_qp_union, p),
     )
 
 
@@ -721,41 +714,29 @@ def brauer_cross_check(ct: CharacterTable) -> None:
 # ---------------------------------------------------------------------------
 
 _CACHE_MAGIC = "chartable-cache"
-_CACHE_VERSION = 1
+_CACHE_VERSION = 2
 
 
 def save_character_table(ct: CharacterTable, path) -> None:
-    """Text cache: header (group id, exponent, modular prime), then one line
-    per character: degree, then per-class multiplicity vectors in sparse
-    "index:mult" form ('-' for a zero value)."""
+    """Text cache: header (group id, order, exponent, modular prime,
+    character count), then one line per character: its values mod P."""
     lines = [f"{_CACHE_MAGIC} {_CACHE_VERSION}",
              f"group {ct.table.group.name or 'anonymous'}",
              f"order {ct.table.group.order}",
              f"exponent {ct.exponent}",
              f"prime {ct.modular_prime}",
              f"characters {len(ct.degrees)}"]
-    for d, row in zip(ct.degrees, ct.values):
-        cells = []
-        for v in row:
-            if not v.support:
-                cells.append("-")
-            else:
-                cells.append(",".join(f"{s}:{m}"
-                                      for s, m in zip(v.support, v.mults)))
-        lines.append(f"{d} " + " ".join(cells))
+    lines += [" ".join(map(str, row)) for row in ct.mod_values.tolist()]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def load_character_table(table: ClassTable, path) -> CharacterTable:
-    """Load and re-verify a cached table against the given class table.
-
-    Degrees, mass sums, the degree-square identity, mod-P row orthogonality
-    and the exact row and column orthogonality that a fresh build runs
-    (`_verify_exact_orthogonality`) are all re-checked, in that order, and
-    then the multiplicities must be the lift of the values' own mod-P
-    images, which the exact check relies on; mismatches raise
-    ConsistencyError."""
+    """Load a cached table mod P against the given class table and finish
+    it as a fresh build does (`_from_mod_values`): every check that follows
+    the eigen phase runs again.  A header that does not match, a row of the
+    wrong length, a missing or extra row, or a cell that is not an integer
+    in [0, P) raises ConsistencyError or ValueError."""
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines or lines[0] != f"{_CACHE_MAGIC} {_CACHE_VERSION}":
@@ -774,48 +755,15 @@ def load_character_table(table: ClassTable, path) -> CharacterTable:
         raise ConsistencyError("cached modular prime is not the Dixon prime")
     if K != len(table.classes):
         raise ConsistencyError("character count does not match class count")
-    degrees = []
-    values = []
-    for ln in lines[6:6 + K]:
-        parts = ln.split(" ")
-        d = int(parts[0])
-        if len(parts) != K + 1:
-            raise ConsistencyError("malformed cache row")
-        row = []
-        for cell in parts[1:]:
-            if cell == "-":
-                row.append(CycValue(e, (), ()))
-                continue
-            pairs = sorted(tuple(map(int, sm.split(":")))
-                           for sm in cell.split(","))
-            v = CycValue(e, tuple(s for s, _ in pairs),
-                         tuple(m for _, m in pairs))
-            if v.total_mass() != d or any(m <= 0 for m in v.mults) \
-                    or any(not 0 <= s < e for s in v.support) \
-                    or len(set(v.support)) != len(v.support):
-                raise ConsistencyError("malformed cached value")
-            row.append(v)
-        if row[0].support != (0,) or row[0].mults != (d,):
-            raise ConsistencyError("cached identity column disagrees with degree")
-        degrees.append(d)
-        values.append(tuple(row))
-    values = tuple(values)
-    if sum(d * d for d in degrees) != n:
-        raise ConsistencyError("cached degree squares do not sum to the order")
-    distinct, value_id = _intern(values)
-    mod_values = _evaluations(distinct, e, P, np.ones(1, dtype=np.int64))[value_id, 0]
-    sizes = np.array([c.size for c in table.classes], dtype=np.int64)
-    power = table.power
-    inv_class = [int(pw[-1]) for pw in power]
-    _check_mod_orthogonality(mod_values, sizes, inv_class, n, P)
-    ct = CharacterTable(table=table, degrees=degrees, values=values,
-                        exponent=e, modular_prime=P, mod_values=mod_values)
-    _verify_exact_orthogonality(ct)
-    # equal values may be written with other multiplicities; only the
-    # eigenvalue multiplicities, which the lift recovers, are valid
-    if _lift(mod_values, degrees, power, e, P) != values:
-        raise ConsistencyError("cached multiplicities are not the lift of the values")
-    return ct
+    rows = [ln.split(" ") for ln in lines[6:]]
+    if len(rows) != K or any(len(row) != K for row in rows):
+        raise ConsistencyError("malformed cache row")
+    # range-checked as Python ints, so no cell can overflow the int64 array
+    cells = [int(c) for row in rows for c in row]
+    if not all(0 <= c < P for c in cells):
+        raise ConsistencyError("cached value out of range mod P")
+    mod_values = np.array(cells, dtype=np.int64).reshape(K, K)
+    return _from_mod_values(table, mod_values, P)
 
 
 __all__ = [

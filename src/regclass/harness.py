@@ -21,7 +21,6 @@ import os
 import time
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
@@ -250,7 +249,7 @@ def verify_theorem1(entries=None) -> VerificationReport:
         for p in factorize(e.order).primes():
             cc = class_counts(table, p)
             total = cc.k_p + cc.k_p_prime
-            cmp = cmp_threshold(total, p, Fraction(1, 2))
+            cmp = cmp_threshold(total, p)
             sharp = is_sharp_frobenius(e.order, cc)
             if cmp == EQUAL:
                 observed_equal.append((e.key, p))
@@ -294,7 +293,7 @@ def verify_theorem2(entries=None) -> VerificationReport:
             ok = floor_ok
             if p > 257:
                 deep_primes += 1
-                strong = cmp_threshold(kpp, p, Fraction(1, 2))
+                strong = cmp_threshold(kpp, p)
                 computed["strong_cmp"] = strong
                 ok = ok and strong == GREATER
             cases.append(CaseRecord(
@@ -467,7 +466,7 @@ def check_module_bound(H: PermGroup, p: int, mats, case_id: str) -> CaseRecord:
     kH = len(conjugacy_classes(H))
     n_orbits = len(image.orbits_on_points())  # includes the zero vector
     value = kH + n_orbits - 1
-    cmp = cmp_threshold(value, p, Fraction(1, 2))
+    cmp = cmp_threshold(value, p)
     d = isqrt(p - 1)
     sharp = d * d == p - 1 and dim == 1 and H.order == d
     ok = cmp == GREATER or (cmp == EQUAL and sharp)

@@ -3,9 +3,9 @@
 Factorization, totients, cyclotomic polynomial coefficients and values
 (including the twisted Suzuki/Ree variants), prime-power decompositions,
 multiplicative orders and primitive roots, partition counts, and exact
-comparison of integers against the irrational thresholds 2*sqrt(p-1) and
-2*(p-1)**(1/4).  Everything here is integer/rational arithmetic; no
-floating point is used anywhere.
+comparison of integers against the irrational threshold 2*sqrt(p-1).
+Everything here is integer/rational arithmetic; no floating point is used
+anywhere.
 """
 
 from dataclasses import dataclass
@@ -336,21 +336,12 @@ def odd_partition_count(n: int) -> int:
 LESS, EQUAL, GREATER = -1, 0, 1
 
 
-def cmp_threshold(k: int, p: int, exponent: Fraction) -> int:
-    """Compare k against 2*(p-1)**exponent for exponent in {1/2, 1/4}.
-
-    Returns LESS, EQUAL or GREATER.  Done by cross-multiplied integer
-    comparison (k**2 vs 4(p-1), resp. k**4 vs 16(p-1)); no floats.
-    """
+def cmp_threshold(k: int, p: int) -> int:
+    """Compare k against 2*sqrt(p-1): LESS, EQUAL or GREATER, by the integer
+    comparison of k**2 with 4(p-1); no floats."""
     if k < 0 or p < 2:
         raise ValueError("require k >= 0 and p >= 2")
-    exponent = Fraction(exponent)
-    if exponent == Fraction(1, 2):
-        lhs, rhs = k * k, 4 * (p - 1)
-    elif exponent == Fraction(1, 4):
-        lhs, rhs = k**4, 16 * (p - 1)
-    else:
-        raise ValueError("exponent must be 1/2 or 1/4")
+    lhs, rhs = k * k, 4 * (p - 1)
     return (lhs > rhs) - (lhs < rhs)
 
 

@@ -726,23 +726,8 @@ def conjugacy_classes(group: PermGroup, cap: int = CLASS_CAP) -> ClassTable:
 
 
 # ---------------------------------------------------------------------------
-# p-parts, class counts, power maps
+# class counts, power maps
 # ---------------------------------------------------------------------------
-
-def p_part_split(g: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Write g = g_p o g_{p'} with commuting factors of p-power and
-    p'-order; both are powers of g (CRT on the exponent)."""
-    m = perm_order(g)
-    mp = p_part(m, p)
-    mpp = m // mp
-    if mp == 1:
-        return identity_perm(len(g)), g
-    if mpp == 1:
-        return g, identity_perm(len(g))
-    a = pow(mpp, -1, mp)
-    b = pow(mp, -1, mpp)
-    return perm_power(g, a * mpp), perm_power(g, b * mp)
-
 
 @dataclass(frozen=True)
 class ClassCounts:
@@ -922,7 +907,7 @@ __all__ = [
     "identity_perm", "as_perm", "perm_from_cycles", "compose", "inverse",
     "inverse_rows", "conjugate", "perm_power", "perm_order", "is_identity",
     "perm_key", "conjugacy_classes", "check_class_cap",
-    "orbit_labels", "p_part_split", "class_counts",
+    "orbit_labels", "class_counts",
     "power_class_map", "quotient_group",
     "burnside_class_count", "save_class_table", "load_class_table",
     "CLASS_CAP", "CHUNK",

@@ -5,9 +5,7 @@ asserting the published value is marked strict-xfail and a companion test
 freezes the recomputed value.
 """
 
-import random
 import time
-from fractions import Fraction
 
 import pytest
 
@@ -23,9 +21,7 @@ from regclass.liebounds import (LieParams, _chain_lower_bound, claim_info,
 from regclass.numtheory import (EQUAL, GREATER, LESS, Enclosure, cmp_threshold,
                                 cyclotomic_value, divisors, factorize)
 from regclass.gf import make_field
-from regclass.permgroup import (burnside_class_count, class_counts, compose,
-                                p_part_split, perm_order)
-from regclass.numtheory import p_part
+from regclass.permgroup import burnside_class_count, class_counts
 
 FROBENIUS_EQUALITY_CASES = [["frobenius(101,10)", 101], ["frobenius(17,4)", 17],
                             ["frobenius(37,6)", 37], ["frobenius(5,2)", 5]]
@@ -58,7 +54,7 @@ def union_sweep():
         part = fused_partition(e.key)
         for p in factorize(e.order).primes():
             n = orbit_counts(part, table, p).n_union
-            out[(e.key, p)] = (n, cmp_threshold(n, p, Fraction(1, 2)))
+            out[(e.key, p)] = (n, cmp_threshold(n, p))
     return out
 
 
@@ -272,22 +268,6 @@ def test_engine_properties():
     rep = verify_lemma81()
     assert rep.passed
     assert len(quotient_pairs()) >= 10
-
-    # commuting p-part/p'-part split on 10^4 random elements
-    rng = random.Random(2024)
-    sample_keys = ["sym(6)", "psl2(11)", "sl2(9)", "frobenius(101,10)",
-                   "sp4(2)"]
-    for key in sample_keys:
-        group, _ = built_entry(key)
-        primes = factorize(group.order).primes()
-        for i in range(2000):
-            g = group.random_element(rng)
-            p = primes[i % len(primes)]
-            gp, gpp = p_part_split(g, p)
-            assert (compose(gp, gpp) == g).all()
-            assert (compose(gpp, gp) == g).all()
-            assert p_part(perm_order(gp), p) == perm_order(gp)
-            assert perm_order(gpp) % p != 0
 
     # field axioms, exhaustively on two non-prime fields
     for ell, f in [(2, 3), (3, 2)]:

@@ -73,7 +73,7 @@ def test_identity_column_and_linear_characters(tables, key):
     group, table, ct = tables(key)
     for r, d in enumerate(ct.degrees):
         v = ct.values[r][0]
-        assert v.is_rational_integer() and v.as_integer() == d
+        assert v.support == (0,) and v.mults == (d,)
     # number of linear characters = index of the derived subgroup
     linear = sum(1 for d in ct.degrees if d == 1)
     known = {"alt(5)": 1, "sym(4)": 2, "psl2(7)": 1, "sl2(5)": 1,
@@ -171,12 +171,15 @@ def test_dixon_prime():
 def test_cycvalue_algebra(tables):
     _, _, ct = tables("alt(5)")
     e = ct.exponent
-    for row in ct.values:
+    units = [k for k in range(1, e) if gcd(k, e) == 1]
+    for d, row in zip(ct.degrees, ct.values):
         for v in row:
             assert v.galois(1) == v
-            assert v.conjugate().conjugate() == v
-            assert v.conjugate() == v.galois(e - 1)
-            assert v.total_mass() <= sum(ct.degrees)
+            assert v.galois(e - 1).galois(e - 1) == v  # complex conjugation
+            for a, b in itertools.product(units, repeat=2):
+                assert v.galois(a).galois(b) == v.galois(a * b % e)
+            # the multiplicities count the d eigenvalues of a representation
+            assert sum(v.mults) == d
 
 
 def test_character_table_cache_roundtrip(tmp_path):
@@ -189,6 +192,7 @@ def test_character_table_cache_roundtrip(tmp_path):
     assert loaded.degrees == ct.degrees
     assert loaded.exponent == ct.exponent
     assert loaded.values == ct.values
+    assert (loaded.mod_values == ct.mod_values).all()
 
 
 def test_character_table_cache_detects_tampering(tmp_path):
@@ -198,13 +202,13 @@ def test_character_table_cache_detects_tampering(tmp_path):
     path = tmp_path / "chars.txt"
     save_character_table(ct, path)
     lines = path.read_text().splitlines()
-    # bump a character degree; the sum-of-squares check must catch it
-    for i, ln in enumerate(lines):
-        if ln.startswith("3 "):
-            lines[i] = "4 " + ln[2:]
-            break
+    # bump the degree of a 3-dimensional character: its identity-class cell
+    row = 6 + ct.degrees.index(3)
+    cells = lines[row].split(" ")
+    assert cells[0] == "3"
+    lines[row] = " ".join(["4"] + cells[1:])
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(Exception):
+    with pytest.raises(ConsistencyError, match="degree squares"):
         load_character_table(table, path)
 
 

@@ -2,6 +2,7 @@
 
 import json
 import re
+import warnings
 from math import gcd
 
 import numpy as np
@@ -19,7 +20,8 @@ from regclass import chartab, harness
 from regclass.harness import _cyclic_perm_group, class_table_for
 from regclass.catalog import default_catalog, entry_by_key, vectors
 from regclass.numtheory import GREATER
-from regclass.permgroup import CLASS_CAP, class_counts, conjugacy_classes
+from regclass.permgroup import (CLASS_CAP, class_counts, conjugacy_classes,
+                                power_class_map)
 
 
 # ---------------------------------------------------------------------------
@@ -273,33 +275,22 @@ def test_tampered_character_cache_warns_and_recomputes(fresh_cache):
     assert ct.degrees == fresh.degrees and ct.values == fresh.values
 
 
-def _read_cell(cell):
-    return {} if cell == "-" else {
-        int(s): int(m) for s, m in (sm.split(":") for sm in cell.split(","))}
+def _character_cache(fresh_cache, key):
+    return fresh_cache / f"chars-{key}-v{harness.__version__}.txt"
 
 
-def _write_cell(cells):
-    return ",".join(f"{s}:{m}" for s, m in sorted(cells.items())) or "-"
-
-
-def _tamper_character_cache(path, change):
-    """Replace the first cell off the identity class for which change({s:
-    m}) returns new multiplicities."""
+def _tamper_rows(path, change):
+    """Rewrite the body of a character cache file, one list of cell strings
+    per row (the values mod P), as change(rows) returns it."""
     lines = path.read_text().splitlines()
-    for i in range(6, len(lines)):
-        d, *cells = lines[i].split(" ")
-        for j in range(1, len(cells)):
-            new = change(_read_cell(cells[j]))
-            if new is not None:
-                cells[j] = _write_cell(new)
-                lines[i] = " ".join([d, *cells])
-                path.write_text("\n".join(lines) + "\n")
-                return
-    raise AssertionError("no cell to tamper with")
+    rows = change([ln.split(" ") for ln in lines[6:]])
+    path.write_text("\n".join(lines[:6] + [" ".join(r) for r in rows]) + "\n")
 
 
 def _reload_rejected(fresh_cache, key, reason):
-    path = fresh_cache / f"chars-{key}-v{harness.__version__}.txt"
+    """The cache file is rejected with `reason`, and the table is recomputed
+    equal to a fresh one and written back in the current format."""
+    path = _character_cache(fresh_cache, key)
     harness.character_table_for.cache_clear()
     with pytest.warns(UserWarning, match=rf"rejected cache file "
                       rf".*{re.escape(path.name)}.*{reason}"):
@@ -307,65 +298,99 @@ def _reload_rejected(fresh_cache, key, reason):
     fresh = chartab.character_table(harness.built_entry(key)[0],
                                     class_table_for(key))
     assert ct.degrees == fresh.degrees and ct.values == fresh.values
+    assert (ct.mod_values == fresh.mod_values).all()
+    assert path.read_text().startswith("chartable-cache 2\n")
+    harness.character_table_for.cache_clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the rewritten file loads cleanly
+        assert harness.character_table_for(key).values == fresh.values
+
+
+def _galois_images(key):
+    """(row, class, image class, unit k) with chi_row(g^k) != chi_row(g) for
+    g in the class, over the rows and units of key's table in order."""
+    ct = harness.character_table_for(key)
+    e = ct.exponent
+    for k in (k for k in range(2, e) if gcd(k, e) == 1):
+        image = power_class_map(ct.table, k)
+        for r, row in enumerate(ct.mod_values):
+            for j in np.flatnonzero(row[image] != row):
+                yield r, int(j), int(image[j]), k
 
 
 def test_galois_conjugate_cell_in_character_cache_is_rejected(fresh_cache):
+    """One cell chi(g) replaced by its Galois image chi(g^k): the row keeps
+    its values, only one moves."""
     key = "alt(5)"
-    e = harness.character_table_for(key).exponent
-    units = [k for k in range(2, e) if gcd(k, e) == 1]
+    r, j, i, _ = next(_galois_images(key))
 
-    def conjugate(cells):
-        for k in units:
-            image = {s * k % e: m for s, m in cells.items()}
-            if image != cells:
-                return image
-        return None
+    def conjugate(rows):
+        rows[r][j] = rows[r][i]
+        return rows
 
-    _tamper_character_cache(
-        fresh_cache / f"chars-{key}-v{harness.__version__}.txt", conjugate)
+    _tamper_rows(_character_cache(fresh_cache, key), conjugate)
     _reload_rejected(fresh_cache, key, "ConsistencyError")
 
 
-def _shift_mass(exact: bool):
-    """A tamper moving multiplicity from zeta^c + zeta^d (the first two
-    support entries of a cell) to zeta^a + zeta^b with z^a + z^b = z^c + z^d
-    mod P, so degrees, masses and every mod-P value stay the same.  Two roots
-    of unity sum to the same as two others only if both pairs are antipodal
-    (zeta^(e/2) = -1): with exact=True the moved pair is antipodal and the
-    value stays equal, with exact=False it changes."""
+def test_galois_image_row_in_character_cache_is_rejected(fresh_cache):
+    """A row replaced by its Galois image, read along the power map g ->
+    g^k: a character of the group, but now listed twice."""
+    key = "alt(5)"
+    r, _, _, k = next(_galois_images(key))
+    image = power_class_map(harness.character_table_for(key).table, k)
+
+    def conjugate(rows):
+        rows[r] = [rows[r][i] for i in image]
+        return rows
+
+    _tamper_rows(_character_cache(fresh_cache, key), conjugate)
+    _reload_rejected(fresh_cache, key, "mod-P row orthogonality failed")
+
+
+def _with_cell(rows, text):
+    rows[1][1] = text
+    return rows
+
+
+# name -> (the edit of the rows, given P; the reason the load gives)
+_MALFORMED = {
+    "changed-cell": (lambda rows, P: _with_cell(rows, "1"),
+                     "ConsistencyError"),
+    "value-P": (lambda rows, P: _with_cell(rows, str(P)),
+                "out of range mod P"),
+    "negative": (lambda rows, P: _with_cell(rows, "-1"), "out of range mod P"),
+    "oversize": (lambda rows, P: _with_cell(rows, "99999999999999999999999"),
+                 "out of range mod P"),
+    "not-integer": (lambda rows, P: _with_cell(rows, "1:2"), "ValueError"),
+    "short-row": (lambda rows, P: rows[:1] + [rows[1][:-1]] + rows[2:],
+                  "malformed cache row"),
+    "missing-row": (lambda rows, P: rows[:-1], "malformed cache row"),
+    "extra-row": (lambda rows, P: rows + rows[-1:], "malformed cache row"),
+}
+
+
+@pytest.mark.parametrize("name", list(_MALFORMED))
+def test_malformed_character_cache_is_rejected(fresh_cache, name):
     key = "alt(5)"
     ct = harness.character_table_for(key)
-    e, P = ct.exponent, ct.modular_prime
-    z = [pow(chartab._root_of_unity(P, e), t, P) for t in range(e)]
-
-    def shift(cells):
-        if len(cells) < 2:
-            return None
-        c, d = sorted(cells)[:2]
-        if (d - c == e // 2) != exact:
-            return None
-        for a in range(e):
-            for b in range(a + 1, e):
-                if ({a, b} != {c, d} and (b - a == e // 2) == exact
-                        and (z[a] + z[b] - z[c] - z[d]) % P == 0):
-                    new = dict(cells)
-                    for t, step in ((c, -1), (d, -1), (a, 1), (b, 1)):
-                        new[t] = new.get(t, 0) + step
-                    return {t: m for t, m in new.items() if m}
-        return None
-
-    return key, shift
+    assert ct.mod_values[1, 1] != 1  # so "changed-cell" changes it
+    change, reason = _MALFORMED[name]
+    _tamper_rows(_character_cache(fresh_cache, key),
+                 lambda rows: change(rows, ct.modular_prime))
+    _reload_rejected(fresh_cache, key, reason)
 
 
-def test_character_cache_tamper_invisible_mod_p_is_rejected(fresh_cache):
-    key, shift = _shift_mass(exact=False)
-    _tamper_character_cache(
-        fresh_cache / f"chars-{key}-v{harness.__version__}.txt", shift)
-    _reload_rejected(fresh_cache, key, "exact row orthogonality failed")
-
-
-def test_character_cache_with_other_multiplicities_is_rejected(fresh_cache):
-    key, shift = _shift_mass(exact=True)
-    _tamper_character_cache(
-        fresh_cache / f"chars-{key}-v{harness.__version__}.txt", shift)
-    _reload_rejected(fresh_cache, key, "not the lift of the values")
+def test_version_1_character_cache_is_rejected(fresh_cache):
+    """A file in the old format (degree, then sparse "s:m" multiplicities per
+    class) is refused by its header and rewritten in the current one."""
+    key = "alt(5)"
+    ct = harness.character_table_for(key)
+    path = _character_cache(fresh_cache, key)
+    lines = path.read_text().splitlines()[:6]
+    lines[0] = "chartable-cache 1"
+    for d, row in zip(ct.degrees, ct.values):
+        cells = (",".join(f"{s}:{m}" for s, m in zip(v.support, v.mults))
+                 or "-" for v in row)
+        lines.append(f"{d} " + " ".join(cells))
+    path.write_text("\n".join(lines) + "\n")
+    _reload_rejected(fresh_cache, key, "unrecognized cache header")

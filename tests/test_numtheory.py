@@ -170,19 +170,18 @@ def test_primitive_root_is_the_least_one():
 @given(st.integers(min_value=0, max_value=10**6),
        st.integers(min_value=2, max_value=10**9))
 def test_cmp_threshold_half(k, p):
-    got = cmp_threshold(k, p, Fraction(1, 2))
+    got = cmp_threshold(k, p)
     lhs, rhs = k * k, 4 * (p - 1)
     assert got == (lhs > rhs) - (lhs < rhs)
 
 
 def test_cmp_threshold_known_points():
-    assert cmp_threshold(4, 5, Fraction(1, 2)) == EQUAL
-    assert cmp_threshold(8, 17, Fraction(1, 2)) == EQUAL
-    assert cmp_threshold(12, 37, Fraction(1, 2)) == EQUAL
-    assert cmp_threshold(20, 101, Fraction(1, 2)) == EQUAL
-    assert cmp_threshold(5, 5, Fraction(1, 2)) == GREATER
-    assert cmp_threshold(3, 5, Fraction(1, 2)) == LESS
-    assert cmp_threshold(4, 17, Fraction(1, 4)) == EQUAL
+    assert cmp_threshold(4, 5) == EQUAL
+    assert cmp_threshold(8, 17) == EQUAL
+    assert cmp_threshold(12, 37) == EQUAL
+    assert cmp_threshold(20, 101) == EQUAL
+    assert cmp_threshold(5, 5) == GREATER
+    assert cmp_threshold(3, 5) == LESS
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from regclass.permgroup import (ConsistencyError, PermGroup,
                                 inverse, is_identity, load_class_table,
                                 orbit_labels,
                                 perm_from_cycles, perm_order, perm_power,
-                                power_class_map, p_part_split,
+                                power_class_map,
                                 quotient_group, save_class_table)
 
 
@@ -564,19 +564,6 @@ def test_enumeration_cap():
 # ---------------------------------------------------------------------------
 # p-parts and class counts
 # ---------------------------------------------------------------------------
-
-def test_p_part_split_random(keyed_table):
-    _, group, _ = keyed_table
-    rng = random.Random(11)
-    for p in factorize(group.order).primes():
-        for _ in range(25):
-            g = group.random_element(rng)
-            gp, gpp = p_part_split(g, p)
-            assert (compose(gp, gpp) == g).all()
-            assert (compose(gpp, gp) == g).all()
-            assert p_part(perm_order(gp), p) == perm_order(gp)
-            assert perm_order(gpp) % p != 0
-
 
 def test_class_counts_partition(keyed_table):
     _, group, table = keyed_table
