@@ -120,11 +120,17 @@ def _unit_generators(e: int) -> list[int]:
 
 
 def _intern(values) -> tuple[list[CycValue], np.ndarray]:
-    """The distinct values of a table, and the matrix of their indices."""
+    """The distinct values of a table in `dense_key` order, and the matrix
+    of their indices; permuting the rows of the table permutes the rows of
+    the matrix."""
     ids: dict[CycValue, int] = {}
     value_id = np.array([[ids.setdefault(v, len(ids)) for v in row]
                          for row in values], dtype=np.int64)
-    return list(ids), value_id
+    found = list(ids)
+    by_key = sorted(range(len(found)), key=lambda v: found[v].dense_key())
+    rank = np.empty(len(found), dtype=np.int64)
+    rank[by_key] = np.arange(len(found))
+    return [found[v] for v in by_key], rank[value_id]
 
 
 def _support_entries(values):
@@ -407,7 +413,8 @@ class CharacterTable:
 
     @cached_property
     def _interned(self) -> tuple[list[CycValue], np.ndarray]:
-        """`_intern(self.values)`: the distinct values and their indices."""
+        """`_intern(self.values)`: the distinct values and their indices
+        (`_from_mod_values` seeds it with the ids it sorted the rows by)."""
         return _intern(self.values)
 
     @cached_property
@@ -547,19 +554,17 @@ def _from_mod_values(table: ClassTable, mod_values: np.ndarray,
         raise ConsistencyError("mod-P row orthogonality failed")
 
     # --- exact lift, canonical ordering by (degree, lexicographic values) --
-    # rows compare as their tuples of value ranks, each distinct value
-    # ranked once by its dense key
+    # rows compare as their tuples of value ids, which are the values'
+    # ranks by dense key; the sorted table's ids are these rows, sorted
     values = _lift(mod_values, degrees, power, e, P)
     distinct, value_id = _intern(values)
-    by_key = sorted(range(len(distinct)), key=lambda v: distinct[v].dense_key())
-    rank = np.empty(len(distinct), dtype=np.int64)
-    rank[by_key] = np.arange(len(distinct))
-    ranks = rank[value_id].tolist()
+    ranks = value_id.tolist()
     order = sorted(range(len(degrees)), key=lambda r: (degrees[r], ranks[r]))
     result = CharacterTable(table=table, degrees=[degrees[i] for i in order],
                             values=tuple(values[i] for i in order),
                             exponent=e, modular_prime=P,
                             mod_values=mod_values[order])
+    vars(result)["_interned"] = (distinct, value_id[order])
     _verify_exact_orthogonality(result)
     return result
 

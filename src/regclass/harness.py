@@ -553,7 +553,8 @@ def verify_lemma81() -> VerificationReport:
                           "k_pp_G": cg.k_p_prime, "k_pp_Q": cq.k_p_prime},
                 expected={"value": "quotient counts never exceed",
                           "source": "published"},
-                verdict="pass" if ok else "fail"))
+                verdict="pass" if ok else "fail",
+                note=f"G/N on {quo.degree} points"))
     return _report("lemma81", cases, t0)
 
 

@@ -13,7 +13,8 @@ the chain (`contains`, and the rank that `ClassTable.class_of` reads), a
 rank index on the chain that numbers the elements 0..|G|-1, conjugacy
 classes labelled over those ranks by array operations (a class table is one
 class id per rank), p-part decomposition, class counts, power maps on
-classes, and quotient groups by coset action (a coset xN is named by its
+classes, and quotient groups G/N: on the N-orbits of the points when G
+acts on them as G/N, else by coset action (a coset xN is named by its
 canonical member, the one with the least base images on N's chain, and the
 cosets are enumerated in batches of rows).
 """
@@ -110,9 +111,9 @@ def perm_power(p: np.ndarray, k: int) -> np.ndarray:
 
 def perm_order(p: np.ndarray) -> int:
     order = 1
-    seen = np.zeros(len(p), dtype=bool)
     images = p.tolist()
-    for i in range(len(p)):
+    seen = [False] * len(images)
+    for i in range(len(images)):
         if seen[i]:
             continue
         length = 0
@@ -764,15 +765,20 @@ def power_class_map(table: ClassTable, k: int) -> list[int]:
 
 def quotient_group(group: PermGroup, normal_gens, name: str | None = None,
                    index_cap: int = 1 << 16) -> PermGroup:
-    """The quotient G/N as a faithful permutation group on the cosets of N.
+    """The quotient G/N as a faithful permutation group: on the N-orbits of
+    the points when G acts faithfully on them, else on the cosets of N.
 
     Normality is verified exhaustively on generators; a failing conjugate is
-    reported as a witness.  A left coset xN is named by its canonical member
-    (`StabilizerChain.coset_canonical` on N's chain), so telling cosets
-    apart is one dict lookup.  The cosets are found breadth first: each
-    frontier's candidates g o r, for every coset representative r and every
-    generator g in that order, are built and made canonical in batches of
-    rows, and new cosets are numbered in that order."""
+    reported as a witness.  Because N is normal, each generator of G
+    permutes the N-orbits (numbered by least point), and N acts trivially on
+    them; so the orbit action is a faithful G/N exactly when its order is
+    |G:N|, and then it is returned.  Otherwise a left coset xN is named by
+    its canonical member (`StabilizerChain.coset_canonical` on N's chain),
+    so telling cosets apart is one dict lookup.  The cosets are found
+    breadth first: each frontier's candidates g o r, for every coset
+    representative r and every generator g in that order, are built and made
+    canonical in batches of rows, and new cosets are numbered in that
+    order."""
     n_group = PermGroup(group.degree, normal_gens, name="N")
     for ng in n_group.generators:
         for g in group.generators:
@@ -784,6 +790,15 @@ def quotient_group(group: PermGroup, normal_gens, name: str | None = None,
     index = group.order // n_group.order
     if index > index_cap:
         raise ResourceLimitError(f"index {index} exceeds coset cap {index_cap}")
+
+    name = name or f"{group.name}/N"
+    labels = orbit_labels(n_group.generators, group.degree)
+    is_root = labels == np.arange(group.degree)
+    roots, orbit_id = np.flatnonzero(is_root), (np.cumsum(is_root) - 1)[labels]
+    quotient = PermGroup(len(roots), [orbit_id[g[roots]] for g in group.generators],
+                         name=name)
+    if quotient.order == index:
+        return quotient
 
     chain = n_group.chain
     degree = group.degree
@@ -813,7 +828,7 @@ def quotient_group(group: PermGroup, normal_gens, name: str | None = None,
         raise ConsistencyError(
             f"coset enumeration found {found} cosets, expected {index}")
     actions = np.array(images, dtype=np.int64).reshape(index, len(stacked)).T
-    quotient = PermGroup(index, actions, name=name or f"{group.name}/N")
+    quotient = PermGroup(index, actions, name=name)
     if quotient.order != index:
         raise ConsistencyError("quotient action is not faithful of full size")
     return quotient

@@ -195,6 +195,27 @@ def test_character_table_cache_roundtrip(tmp_path):
     assert (loaded.mod_values == ct.mod_values).all()
 
 
+@pytest.mark.parametrize("key", ["alt(5)", "psl2(7)", "frobenius(7,6)"])
+def test_table_finish_interns_its_values_once(key, tmp_path, monkeypatch):
+    """A fresh build and a cache load each intern the values once, and the
+    table's `_interned` is what `_intern` gives on its sorted values."""
+    group, _ = entry_by_key(key).build()
+    table = conjugacy_classes(group)
+    calls = []
+    monkeypatch.setattr(chartab, "_intern",
+                        lambda values: calls.append(1) or _intern(values))
+    ct = character_table(group, table)
+    path = tmp_path / "chars.txt"
+    save_character_table(ct, path)
+    loaded = load_character_table(table, path)
+    assert len(calls) == 2
+    for t in (ct, loaded):
+        distinct, value_id = t._interned
+        want_distinct, want_id = _intern(t.values)
+        assert distinct == want_distinct
+        assert np.array_equal(value_id, want_id)
+
+
 def test_character_table_cache_detects_tampering(tmp_path):
     group, _ = entry_by_key("alt(5)").build()
     table = conjugacy_classes(group)

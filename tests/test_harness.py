@@ -186,6 +186,10 @@ def test_verify_lemma81_suite():
     assert rep.passed and rep.summary["fail"] == 0
     assert len(quotient_pairs()) >= 10
     assert rep.summary["pass"] >= 20  # several primes per pair
+    # each note names the quotient's degree: (q^2 - 1)/2 on the orbit path
+    notes = {c.group: c.note for c in rep.cases}
+    assert notes["sl2(13)/center"] == "G/N on 84 points"
+    assert notes["sym(4)/V4"] == "G/N on 6 points"
 
 
 def test_verify_table1_default_shape():

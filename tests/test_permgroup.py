@@ -650,17 +650,95 @@ def _reference_quotient_images(group, normal_gens):
     return PermGroup(len(reps), actions).generators
 
 
+def _reference_orbit_action(group, normal_gens):
+    """The action of the generators on the N-orbits, each orbit found by
+    closing a point's set under N's generators and numbered by its least
+    point; a generator maps each orbit, as a set, onto an orbit."""
+    orbits, placed = [], set()
+    for x in range(group.degree):
+        if x in placed:
+            continue
+        orbit, todo = {x}, [x]
+        while todo:
+            y = todo.pop()
+            for z in {int(n[y]) for n in normal_gens} - orbit:
+                orbit.add(z)
+                todo.append(z)
+        placed |= orbit
+        orbits.append(frozenset(orbit))
+    number = {orbit: i for i, orbit in enumerate(orbits)}
+    return PermGroup(len(orbits), [
+        [number[frozenset(int(g[y]) for y in orbit)] for orbit in orbits]
+        for g in group.generators])
+
+
 QUOTIENT_PAIRS = [(name, group, normal_gens)
                   for name, _, group, normal_gens in quotient_pairs()]
 QUOTIENT_IDS = [name for name, _, _ in QUOTIENT_PAIRS]
+# the pairs whose G acts on the N-orbits as G/N
+ORBIT_PATH = {"cyclic(12)/C2", "cyclic(12)/C3"} | {
+    f"sl2({q})/center" for q in (3, 5, 7, 9, 11, 13)}
+
+
+def _class_multiset(group):
+    return sorted((c.order, c.size) for c in conjugacy_classes(group).classes)
 
 
 @pytest.mark.parametrize("name, group, normal_gens", QUOTIENT_PAIRS,
                          ids=QUOTIENT_IDS)
 def test_quotient_matches_orbit_set_fingerprint(name, group, normal_gens):
+    """On the orbit path the quotient is the reference action on the
+    N-orbits, with the classes of the reference coset action; on the coset
+    path it is the reference coset action itself."""
     quotient = quotient_group(group, normal_gens)
+    index = group.order // PermGroup(group.degree, normal_gens).order
+    coset = _reference_quotient_images(group, normal_gens)
+    on_orbits = _reference_orbit_action(group, normal_gens)
+    assert (on_orbits.order == index) == (name in ORBIT_PATH)
+    if name in ORBIT_PATH:
+        want = on_orbits.generators
+        assert _class_multiset(quotient) == \
+            _class_multiset(PermGroup(index, coset))
+    else:
+        want = coset
     assert [g.tolist() for g in quotient.generators] == \
-        [g.tolist() for g in _reference_quotient_images(group, normal_gens)]
+        [g.tolist() for g in want]
+
+
+@pytest.mark.parametrize("name, group, normal_gens", QUOTIENT_PAIRS,
+                         ids=QUOTIENT_IDS)
+def test_quotient_is_g_mod_n_by_its_graph(name, group, normal_gens):
+    """phi maps each generator of G to the quotient generator it gave: the
+    identity if it lies in N, the image of an earlier generator in its coset
+    of N, else the next quotient generator.  The graph group generated by
+    g + phi(g) (g on the first G.degree points, phi(g) on the Q.degree
+    points after them) has order |G|, so phi extends to a homomorphism onto
+    Q; Q has order |G:N|, so its kernel has order |N|; each N generator +
+    identity lies in the graph, so N is that kernel."""
+    n_group = PermGroup(group.degree, normal_gens)
+    quotient = quotient_group(group, normal_gens)
+    index = group.order // n_group.order
+    assert quotient.order == index
+    fresh = iter(quotient.generators)
+    phi = []
+    for i, g in enumerate(group.generators):
+        same = next((j for j in range(i) if n_group.contains(
+            compose(inverse(group.generators[j]), g))), None)
+        if n_group.contains(g):
+            phi.append(quotient.identity())
+        else:
+            phi.append(next(fresh) if same is None else phi[same])
+    assert next(fresh, None) is None
+
+    def graph_point(g, q):
+        return np.concatenate([g.astype(np.int64),
+                               q.astype(np.int64) + group.degree])
+
+    graph = PermGroup(group.degree + quotient.degree,
+                      [graph_point(g, q) for g, q in zip(group.generators, phi)])
+    assert graph.order == group.order
+    for n in n_group.generators:
+        assert graph.contains(graph_point(n, quotient.identity()))
 
 
 @pytest.mark.parametrize("name, group, normal_gens", QUOTIENT_PAIRS,
@@ -688,9 +766,9 @@ def test_coset_canonical_names_the_coset(name, group, normal_gens):
 
 @pytest.mark.parametrize("q", [5, 7, 9, 11, 13])
 def test_central_quotient_of_sl2_matches_catalog_psl2(q):
-    """SL(2,q)/Z, built by coset enumeration, has the classes of the
-    catalog's PSL(2,q), built on the projective line: the multisets of
-    (element order, class size) agree."""
+    """SL(2,q)/Z, built on the Z-orbits of nonzero vectors, has the classes
+    of the catalog's PSL(2,q), built on the projective line: the multisets
+    of (element order, class size) agree."""
     quotient = quotient_group(_group(f"sl2({q})"), sl2_center(q))
     expected = conjugacy_classes(_group(f"psl2({q})"))
     assert sorted((c.order, c.size) for c in conjugacy_classes(quotient).classes) \
@@ -725,7 +803,9 @@ def test_chain_never_sifts_a_level_twice_with_one_stamp(key):
     """A level whose strong generators (its own and the deeper ones) are
     those of an earlier sift is not sifted again; the chain is unchanged."""
     if key.endswith("/center"):
-        group = quotient_group(_group("sl2(13)"), sl2_center(13))
+        # the regular representation of PSL(2,13), on its 1,092 elements
+        group = PermGroup(1092, _reference_quotient_images(_group("sl2(13)"),
+                                                           sl2_center(13)))
     else:
         group = _group(key)
     logged = _SiftLog(group.generators, group.degree)
