@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numtheory import p_part
-from .permgroup import ClassTable, PermGroup, conjugate, inverse, orbit_labels
+from .permgroup import ClassTable, PermGroup, conjugate, inverse, orbits
 
 
 @dataclass(frozen=True)
@@ -40,12 +40,12 @@ def fuse_classes(table: ClassTable, group: PermGroup, conjugators) -> OrbitParti
     # conjugation by a normalizing c permutes the classes
     reps = np.stack([cls.rep for cls in table.classes])
     maps = [table.classes_of(c[reps[:, inverse(c)]]) for c in conjugators]
-    labels = orbit_labels(maps, len(reps)).tolist()
-    roots = sorted(set(labels))
-    orbit_of = tuple(roots.index(label) for label in labels)
-    orbits = tuple(tuple(i for i, o in enumerate(orbit_of) if o == k)
-                   for k in range(len(roots)))
-    return OrbitPartition(orbit_of=orbit_of, orbits=orbits)
+    roots, orbit_id = orbits(maps, len(reps))
+    orbit_of = orbit_id.tolist()
+    members = [[] for _ in roots]
+    for i, o in enumerate(orbit_of):
+        members[o].append(i)
+    return OrbitPartition(orbit_of=tuple(orbit_of), orbits=tuple(map(tuple, members)))
 
 
 @dataclass(frozen=True)

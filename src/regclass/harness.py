@@ -29,12 +29,13 @@ import numpy as np
 from . import __version__
 from .autorbits import fuse_classes, orbit_counts
 from .catalog import (CatalogEntry, default_catalog, entry_by_key, linear_perm,
-                      projective_points, vectors)
+                      projective_points, sl2_center, vectors)
 from .gf import make_field
 from .numtheory import EQUAL, GREATER, LESS, cmp_threshold, factorize
 from .permgroup import (CLASS_CAP, ConsistencyError, PermGroup, as_perm,
                         class_counts, conjugacy_classes, load_class_table,
-                        quotient_group, save_class_table)
+                        orbits, perm_from_cycles, perm_power, quotient_group,
+                        save_class_table)
 from . import chartab
 
 SCHEMA_VERSION = 1
@@ -289,7 +290,6 @@ def verify_theorem2(entries=None) -> VerificationReport:
             kpp = class_counts(table, p).k_p_prime
             floor_ok = kpp * kpp > p - 1
             computed = {"k_p_prime": kpp, "floor_cmp_sq": kpp * kpp - (p - 1)}
-            note = ""
             ok = floor_ok
             if p > 257:
                 deep_primes += 1
@@ -299,7 +299,7 @@ def verify_theorem2(entries=None) -> VerificationReport:
             cases.append(CaseRecord(
                 id=f"thm2:{e.key}:p={p}", group=e.key, p=p, computed=computed,
                 expected={"value": "k_p' > sqrt(p-1)", "source": "published"},
-                verdict="pass" if ok else "fail", note=note))
+                verdict="pass" if ok else "fail"))
     if deep_primes == 0:
         cases.append(CaseRecord(
             id="thm2:p-above-257", group="*", p=None,
@@ -464,7 +464,7 @@ def check_module_bound(H: PermGroup, p: int, mats, case_id: str) -> CaseRecord:
         raise ValueError("linear action is not irreducible")
 
     kH = len(conjugacy_classes(H))
-    n_orbits = len(image.orbits_on_points())  # includes the zero vector
+    n_orbits = len(orbits(image.generators, nV)[0])  # includes the zero vector
     value = kH + n_orbits - 1
     cmp = cmp_threshold(value, p)
     d = isqrt(p - 1)
@@ -513,9 +513,6 @@ def verify_lemma72() -> VerificationReport:
 def quotient_pairs():
     """Named (label, catalog key of G, G, normal generators) quadruples used
     by the monotonicity suite."""
-    from .catalog import sl2_center
-    from .permgroup import perm_from_cycles, perm_power
-
     rot = built_entry("dihedral(6)")[0].generators[0]
     r = built_entry("cyclic(12)")[0].generators[0]
     normal = [

@@ -10,13 +10,13 @@ strong generator closed again before the next Schreier generator; a level's
 Schreier generators are sifted as batches of rows, and each level is stored
 once, as arrays that the rank index reads too), one scalar strip through
 the chain (`contains`, and the rank that `ClassTable.class_of` reads), a
-rank index on the chain that numbers the elements 0..|G|-1, conjugacy
-classes labelled over those ranks by array operations (a class table is one
-class id per rank), p-part decomposition, class counts, power maps on
-classes, and quotient groups G/N: on the N-orbits of the points when G
-acts on them as G/N, else by coset action (a coset xN is named by its
-canonical member, the one with the least base images on N's chain, and the
-cosets are enumerated in batches of rows).
+rank index on the chain that numbers the elements 0..|G|-1, the actions
+r -> rank(u x_r v) on those ranks, one orbit numbering (`orbits`),
+conjugacy classes as the orbits of conjugation on the ranks (a class table
+is one class id per rank), class counts, power maps on classes, and
+quotient groups G/N as G on the N-orbits of a G-set: the points when G
+acts on their N-orbits as G/N, else its own elements, whose N-orbits
+under right multiplication are the cosets of N.
 """
 
 from dataclasses import dataclass
@@ -128,11 +128,6 @@ def perm_order(p: np.ndarray) -> int:
 
 def is_identity(p: np.ndarray) -> bool:
     return bool((p == np.arange(len(p), dtype=p.dtype)).all())
-
-
-def perm_key(p: np.ndarray) -> bytes:
-    """Dedup/dictionary key (byte string, dtype-native)."""
-    return p.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -351,20 +346,6 @@ class StabilizerChain:
                     queue += self._extend(level)
                     pending = pending[1:]
 
-    def coset_canonical(self, rows: np.ndarray) -> np.ndarray:
-        """For each row x, the member of the left coset xN (N this chain's
-        group) with the least base images in base order.  At each level x
-        becomes x o t_y for the orbit point y with the least image x[y];
-        base images determine an element of xN, so the result names the
-        coset (Seress, Permutation Group Algorithms, ch. 4)."""
-        rows = np.asarray(rows)
-        every = np.arange(len(rows))
-        for position, forward, _ in self.levels:
-            orbit = np.flatnonzero(position >= 0)
-            least = orbit[np.argmin(rows[:, orbit], axis=1)]
-            rows = _gather_rows(rows, every, forward[position[least]])
-        return rows
-
     @property
     def order(self) -> int:
         return reduce(lambda a, level: a * len(level[1]), self.levels, 1)
@@ -485,7 +466,7 @@ class PermGroup:
         seen = set()
         for g in generators:
             arr = as_perm(g, degree)
-            k = perm_key(arr)
+            k = arr.tobytes()
             if k not in seen and not is_identity(arr):
                 seen.add(k)
                 gens.append(arr)
@@ -526,12 +507,6 @@ class PermGroup:
         c = as_perm(c, self.degree)
         cinv = inverse(c)
         return all(self.contains(conjugate(c, g, cinv)) for g in self.generators)
-
-    def orbits_on_points(self) -> list[list[int]]:
-        orbits: dict[int, list[int]] = {}
-        for x, label in enumerate(orbit_labels(self.generators, self.degree).tolist()):
-            orbits.setdefault(label, []).append(x)
-        return list(orbits.values())
 
 
 # ---------------------------------------------------------------------------
@@ -654,23 +629,31 @@ def _hook(labels: np.ndarray, act: np.ndarray) -> bool:
     return hooked
 
 
-def _conjugation_actions(index: RankIndex, generators) -> list[np.ndarray]:
-    """For each generator s, the map r -> rank(s x_r s^-1) of the ranks,
-    from base images only: (s x s^-1)(b) = s[x[s^-1[b]]].  Each chunk also
-    re-ranks its own base images, which must give the chunk back."""
+def orbits(actions, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The orbits of 0..n-1 under the given maps (`orbit_labels`), numbered
+    by their least points in ascending order: (roots, orbit_id), roots[i] the
+    least point of orbit i and orbit_id[x] the number of the orbit of x."""
+    labels = orbit_labels(actions, n)
+    is_root = labels == np.arange(n, dtype=np.int32)
+    return np.flatnonzero(is_root), (np.cumsum(is_root, dtype=np.int32) - 1)[labels]
+
+
+def _rank_actions(index: RankIndex, pairs) -> list[np.ndarray]:
+    """For each pair (u, v), the map r -> rank(u x_r v) of the ranks, from
+    base images only: (u x v)(b) = u[x[v[b]]].  Each chunk also re-ranks its
+    own base images, which must give the chunk back."""
     n, width = index.order, len(index.base)
-    points = np.concatenate([index.base] + [inverse(s)[index.base]
-                                            for s in generators])
-    actions = [np.empty(n, dtype=np.int32) for _ in generators]
+    points = np.concatenate([index.base] + [v[index.base] for _, v in pairs])
+    actions = [np.empty(n, dtype=np.int32) for _ in pairs]
     for start in range(0, n, CHUNK):
         ranks = np.arange(start, min(start + CHUNK, n), dtype=np.int32)
         images = index.images(ranks, points)
         if not np.array_equal(index.rank(images[:, :width]), ranks):
             raise ConsistencyError("rank index is not a bijection on this chunk")
-        for j, s in enumerate(generators, 1):
-            actions[j - 1][ranks] = index.rank(s[images[:, width * j:width * (j + 1)]])
+        for j, (u, _) in enumerate(pairs, 1):
+            actions[j - 1][ranks] = index.rank(u[images[:, width * j:width * (j + 1)]])
     if any((act < 0).any() for act in actions):
-        raise ConsistencyError("a conjugate left the group")
+        raise ConsistencyError("a product left the group")
     return actions
 
 
@@ -697,10 +680,9 @@ def _classify(group: PermGroup) -> ClassTable:
     the ranks; sizes are label counts, representatives the lex-least."""
     index = group.chain.index
     n = index.order
-    labels = orbit_labels(_conjugation_actions(index, group.generators), n)
-    roots = labels == np.arange(n, dtype=np.int32)
-    k = int(roots.sum())
-    found_id = (np.cumsum(roots, dtype=np.int32) - 1)[labels]
+    roots, found_id = orbits(_rank_actions(
+        index, [(s, inverse(s)) for s in group.generators]), n)
+    k = len(roots)
     sizes = np.bincount(found_id, minlength=k).tolist()
     reps = index.unrank(_lex_least(index, found_id, k))
     if sum(sizes) != n:
@@ -763,22 +745,29 @@ def power_class_map(table: ClassTable, k: int) -> list[int]:
 # quotient groups
 # ---------------------------------------------------------------------------
 
-def quotient_group(group: PermGroup, normal_gens, name: str | None = None,
-                   index_cap: int = 1 << 16) -> PermGroup:
-    """The quotient G/N as a faithful permutation group: on the N-orbits of
-    the points when G acts faithfully on them, else on the cosets of N.
+def _on_orbits(n_actions, g_actions, n: int, name: str) -> PermGroup:
+    """G acting on the N-orbits of 0..n-1, numbered by their least points:
+    each map of g_actions must permute the orbits of n_actions."""
+    roots, orbit_id = orbits(n_actions, n)
+    return PermGroup(len(roots), [orbit_id[g[roots]] for g in g_actions],
+                     name=name)
+
+
+def quotient_group(group: PermGroup, normal_gens,
+                   name: str | None = None) -> PermGroup:
+    """The quotient G/N as a faithful permutation group: G on the N-orbits
+    of a G-set (`_on_orbits`).
 
     Normality is verified exhaustively on generators; a failing conjugate is
     reported as a witness.  Because N is normal, each generator of G
-    permutes the N-orbits (numbered by least point), and N acts trivially on
-    them; so the orbit action is a faithful G/N exactly when its order is
-    |G:N|, and then it is returned.  Otherwise a left coset xN is named by
-    its canonical member (`StabilizerChain.coset_canonical` on N's chain),
-    so telling cosets apart is one dict lookup.  The cosets are found
-    breadth first: each frontier's candidates g o r, for every coset
-    representative r and every generator g in that order, are built and made
-    canonical in batches of rows, and new cosets are numbered in that
-    order."""
+    permutes the N-orbits of the points, and N acts trivially on them; so
+    that action is a faithful G/N exactly when its order is |G:N|, and then
+    it is returned.  Otherwise the G-set is G itself, numbered by rank: N
+    acts by right multiplication, r -> rank(x_r n), whose orbits are the
+    cosets xN, and G by left multiplication, r -> rank(g x_r), which
+    permutes them (Holt, Eick and O'Brien, Handbook of Computational Group
+    Theory, ch. 4).  That path needs G's rank index, so |G| is held to the
+    class-enumeration cap, and its result must have order |G:N|."""
     n_group = PermGroup(group.degree, normal_gens, name="N")
     for ng in n_group.generators:
         for g in group.generators:
@@ -788,47 +777,18 @@ def quotient_group(group: PermGroup, normal_gens, name: str | None = None,
                     f"subgroup is not normal: conjugate {conj.tolist()} "
                     "of a subgroup generator lies outside the subgroup")
     index = group.order // n_group.order
-    if index > index_cap:
-        raise ResourceLimitError(f"index {index} exceeds coset cap {index_cap}")
-
     name = name or f"{group.name}/N"
-    labels = orbit_labels(n_group.generators, group.degree)
-    is_root = labels == np.arange(group.degree)
-    roots, orbit_id = np.flatnonzero(is_root), (np.cumsum(is_root) - 1)[labels]
-    quotient = PermGroup(len(roots), [orbit_id[g[roots]] for g in group.generators],
-                         name=name)
+    quotient = _on_orbits(n_group.generators, group.generators, group.degree, name)
     if quotient.order == index:
         return quotient
 
-    chain = n_group.chain
-    degree = group.degree
-    stacked = np.array(group.generators, dtype=perm_dtype(degree)).reshape(-1, degree)
-    row_key = np.dtype((np.void, degree * stacked.itemsize))
-    frontier = chain.coset_canonical(group.identity()[None])
-    coset_of = {frontier.tobytes(): 0}
-    images = []  # coset of g o r, in (representative, generator) order
-    step = max(1, BATCH // degree)
-    while len(frontier):
-        fresh = [frontier[:0]]
-        pairs = len(frontier) * len(stacked)
-        for lo in range(0, pairs, step):
-            r, s = np.divmod(np.arange(lo, min(lo + step, pairs)), len(stacked))
-            canonical = chain.coset_canonical(_gather_rows(stacked, s, frontier[r]))
-            new = []
-            for k, key in enumerate(canonical.view(row_key).ravel().tolist()):
-                i = coset_of.get(key)
-                if i is None:
-                    i = coset_of[key] = len(coset_of)
-                    new.append(k)
-                images.append(i)
-            fresh.append(canonical[new])
-        frontier = np.concatenate(fresh)
-    found = len(coset_of)
-    if found != index:
-        raise ConsistencyError(
-            f"coset enumeration found {found} cosets, expected {index}")
-    actions = np.array(images, dtype=np.int64).reshape(index, len(stacked)).T
-    quotient = PermGroup(index, actions, name=name)
+    check_class_cap(group.order, CLASS_CAP)
+    one = group.identity()
+    actions = _rank_actions(group.chain.index,
+                            [(one, ng) for ng in n_group.generators]
+                            + [(g, one) for g in group.generators])
+    k = len(n_group.generators)
+    quotient = _on_orbits(actions[:k], actions[k:], group.order, name)
     if quotient.order != index:
         raise ConsistencyError("quotient action is not faithful of full size")
     return quotient
@@ -921,8 +881,8 @@ __all__ = [
     "ClassCounts", "ResourceLimitError", "ConsistencyError",
     "identity_perm", "as_perm", "perm_from_cycles", "compose", "inverse",
     "inverse_rows", "conjugate", "perm_power", "perm_order", "is_identity",
-    "perm_key", "conjugacy_classes", "check_class_cap",
-    "orbit_labels", "class_counts",
+    "conjugacy_classes", "check_class_cap",
+    "orbit_labels", "orbits", "class_counts",
     "power_class_map", "quotient_group",
     "burnside_class_count", "save_class_table", "load_class_table",
     "CLASS_CAP", "CHUNK",

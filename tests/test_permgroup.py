@@ -18,13 +18,13 @@ from regclass.harness import quotient_pairs
 from regclass.numtheory import factorize, p_part
 from regclass import permgroup
 from regclass.chartab import galois_fixed_classes
-from regclass.permgroup import (ConsistencyError, PermGroup,
+from regclass.permgroup import (CLASS_CAP, ConsistencyError, PermGroup,
                                 ResourceLimitError, StabilizerChain, as_perm,
                                 burnside_class_count, class_counts,
                                 compose, conjugacy_classes, conjugate,
                                 identity_perm,
                                 inverse, is_identity, load_class_table,
-                                orbit_labels,
+                                orbit_labels, orbits,
                                 perm_from_cycles, perm_order, perm_power,
                                 power_class_map,
                                 quotient_group, save_class_table)
@@ -405,10 +405,29 @@ def test_orbit_labels_match_union_find(n, count, bijective, data):
                .astype(np.int32) for _ in range(count)]
     want = _reference_orbit_minima(actions, n)
     assert orbit_labels(actions, n).tolist() == want
+    # orbits numbers the union-find minima densely, in ascending order
+    roots, orbit_id = orbits(actions, n)
+    assert roots.tolist() == sorted(set(want))
+    assert orbit_id.tolist() == [roots.tolist().index(w) for w in want]
     # hooking in slices of CHUNK << 6 = 64 points reaches the same labels
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(permgroup, "CHUNK", 1)
         assert orbit_labels(actions, n).tolist() == want
+
+
+@pytest.mark.parametrize("key", ["sym(5)", "psl2(7)", "frobenius(7,6)"])
+def test_rank_actions_are_the_products(key):
+    """For each generator s, the maps r -> rank(s x_r), r -> rank(x_r s) and
+    r -> rank(s x_r s^-1) equal, at every rank, the sift of the product
+    built in full."""
+    group = _group(key)
+    index = group.chain.index
+    one = group.identity()
+    elements = index.unrank(np.arange(group.order))
+    for s in group.generators:
+        pairs = [(s, one), (one, s), (s, inverse(s))]
+        for act, (u, v) in zip(permgroup._rank_actions(index, pairs), pairs):
+            assert act.tolist() == index.sift(u[elements[:, v]]).tolist()
 
 
 @given(st.sampled_from([k for k in RANK_KEYS if k not in ("sym(5)", "sl2(5)")]),
@@ -622,11 +641,29 @@ def test_quotient_sym4_by_v4():
     assert len(conjugacy_classes(quo)) == 3  # S3
 
 
+def _reference_n_orbits(degree, normal_gens):
+    """The N-orbits of the points, each found by closing a point's set under
+    N's generators, in the order of their least points."""
+    found, placed = [], set()
+    for x in range(degree):
+        if x in placed:
+            continue
+        orbit, todo = {x}, [x]
+        while todo:
+            y = todo.pop()
+            for z in {int(n[y]) for n in normal_gens} - orbit:
+                orbit.add(z)
+                todo.append(z)
+        placed |= orbit
+        found.append(frozenset(orbit))
+    return found
+
+
 def _reference_quotient_images(group, normal_gens):
     """Coset action of the generators, cosets told apart by the images of the
     N-orbits as sets and then by membership."""
     n_group = PermGroup(group.degree, normal_gens)
-    n_orbits = n_group.orbits_on_points()
+    n_orbits = _reference_n_orbits(group.degree, normal_gens)
 
     def fingerprint(g):
         return tuple(frozenset(int(g[x]) for x in orb) for orb in n_orbits)
@@ -651,25 +688,31 @@ def _reference_quotient_images(group, normal_gens):
 
 
 def _reference_orbit_action(group, normal_gens):
-    """The action of the generators on the N-orbits, each orbit found by
-    closing a point's set under N's generators and numbered by its least
+    """The action of the generators on the N-orbits, numbered by least
     point; a generator maps each orbit, as a set, onto an orbit."""
-    orbits, placed = [], set()
-    for x in range(group.degree):
-        if x in placed:
-            continue
-        orbit, todo = {x}, [x]
-        while todo:
-            y = todo.pop()
-            for z in {int(n[y]) for n in normal_gens} - orbit:
-                orbit.add(z)
-                todo.append(z)
-        placed |= orbit
-        orbits.append(frozenset(orbit))
-    number = {orbit: i for i, orbit in enumerate(orbits)}
-    return PermGroup(len(orbits), [
-        [number[frozenset(int(g[y]) for y in orbit)] for orbit in orbits]
+    n_orbits = _reference_n_orbits(group.degree, normal_gens)
+    number = {orbit: i for i, orbit in enumerate(n_orbits)}
+    return PermGroup(len(n_orbits), [
+        [number[frozenset(int(g[y]) for y in orbit)] for orbit in n_orbits]
         for g in group.generators])
+
+
+def _assert_relabelled(gens, want, n):
+    """gens acts on 0..n-1 as want relabelled: the map sigma built breadth
+    first from point 0 by sigma(w(x)) = g(sigma(x)), for each pair (g, w) of
+    gens and want, is a bijection that carries every w onto its g."""
+    assert len(gens) == len(want)
+    sigma, todo = {0: 0}, deque([0])
+    while todo:
+        x = todo.popleft()
+        for g, w in zip(gens, want):
+            y = int(w[x])
+            if y not in sigma:
+                sigma[y] = int(g[sigma[x]])
+                todo.append(y)
+    assert sorted(sigma) == sorted(sigma.values()) == list(range(n))
+    for g, w in zip(gens, want):
+        assert all(g[sigma[x]] == sigma[int(w[x])] for x in range(n))
 
 
 QUOTIENT_PAIRS = [(name, group, normal_gens)
@@ -688,21 +731,55 @@ def _class_multiset(group):
                          ids=QUOTIENT_IDS)
 def test_quotient_matches_orbit_set_fingerprint(name, group, normal_gens):
     """On the orbit path the quotient is the reference action on the
-    N-orbits, with the classes of the reference coset action; on the coset
-    path it is the reference coset action itself."""
+    N-orbits, with the classes of the reference coset action; on the regular
+    path it is the reference coset action relabelled: the map built breadth
+    first from point 0 is a bijection that carries each reference generator
+    onto its counterpart.  Every pair acting on |G:N| points is checked
+    against the coset action that way."""
     quotient = quotient_group(group, normal_gens)
     index = group.order // PermGroup(group.degree, normal_gens).order
     coset = _reference_quotient_images(group, normal_gens)
     on_orbits = _reference_orbit_action(group, normal_gens)
     assert (on_orbits.order == index) == (name in ORBIT_PATH)
     if name in ORBIT_PATH:
-        want = on_orbits.generators
+        assert [g.tolist() for g in quotient.generators] == \
+            [g.tolist() for g in on_orbits.generators]
         assert _class_multiset(quotient) == \
             _class_multiset(PermGroup(index, coset))
     else:
-        want = coset
-    assert [g.tolist() for g in quotient.generators] == \
-        [g.tolist() for g in want]
+        assert quotient.degree == index
+    if quotient.degree == index:
+        _assert_relabelled(quotient.generators, coset, index)
+
+
+def _gf8_mul(a, b):
+    """Product in GF(8) = GF(2)[x]/(x^3 + x + 1), elements as 3-bit codes."""
+    r = 0
+    for i in range(3):
+        if b >> i & 1:
+            r ^= a << i
+    for i in (4, 3):
+        if r >> i & 1:
+            r ^= 0b1011 << (i - 3)
+    return r
+
+
+def test_regular_quotient_is_the_left_coset_action():
+    """AGammaL(1,8) mod its translations is the Frobenius group of order 21,
+    on the images of x -> 2x (order 7) and x -> x^2 (order 3).  The
+    translations are transitive, so the regular path runs.  Inverting both
+    generators is not an automorphism of that group, so acting on the
+    cosets from the right (an anti-homomorphism) would give generators that
+    no relabelling carries onto the left coset action."""
+    group = PermGroup(8, [[x ^ 1 for x in range(8)],
+                          [_gf8_mul(2, x) for x in range(8)],
+                          [_gf8_mul(x, x) for x in range(8)]])
+    translations = [[x ^ t for x in range(8)] for t in (1, 2, 4)]
+    quotient = quotient_group(group, translations)
+    coset = _reference_quotient_images(group, translations)
+    assert group.order == 168 and quotient.degree == 21
+    assert len(quotient.generators) == 2
+    _assert_relabelled(quotient.generators, coset, 21)
 
 
 @pytest.mark.parametrize("name, group, normal_gens", QUOTIENT_PAIRS,
@@ -744,24 +821,26 @@ def test_quotient_is_g_mod_n_by_its_graph(name, group, normal_gens):
 @pytest.mark.parametrize("name, group, normal_gens", QUOTIENT_PAIRS,
                          ids=QUOTIENT_IDS)
 def test_coset_canonical_names_the_coset(name, group, normal_gens):
-    """coset_canonical(g) = coset_canonical(g o n), g^-1 o coset_canonical(g)
-    lies in N, and the result is the member of gN with the least base images
-    (N is small here, so gN is listed in full)."""
+    """On the ranks of G, the orbits of right multiplication by N, r ->
+    rank(x_r n), are the cosets, and each is named by its least rank: g and
+    g o n share an orbit, the element of the orbit's root lies in gN, and no
+    member of gN has a smaller rank (N is small here, so gN is listed in
+    full)."""
     n_group = PermGroup(group.degree, normal_gens)
-    chain = n_group.chain
+    index = group.chain.index
+    one = group.identity()
+    roots, orbit_id = orbits(permgroup._rank_actions(
+        index, [(one, n) for n in n_group.generators]), group.order)
+    assert len(roots) == group.order // n_group.order
     rng = random.Random(81)
-    gs = np.stack([group.random_element(rng) for _ in range(32)])
-    ns = np.stack([n_group.random_element(rng) for _ in range(32)])
-    canonical = chain.coset_canonical(gs)
-    assert np.array_equal(
-        chain.coset_canonical(np.stack([compose(g, n) for g, n in zip(gs, ns)])),
-        canonical)
     members = list(n_group.elements())
-    for g, c in zip(gs, canonical):
-        assert n_group.contains(compose(inverse(g), c))
-        least = min((compose(g, n) for n in members),
-                    key=lambda x: x[chain.base].tolist())
-        assert np.array_equal(c, least)
+    for _ in range(32):
+        g, n = group.random_element(rng), n_group.random_element(rng)
+        r, rn = index.sift(np.stack([g, compose(g, n)]))
+        assert orbit_id[r] == orbit_id[rn]
+        root = roots[orbit_id[r]]
+        assert n_group.contains(compose(inverse(g), index.unrank([root])[0]))
+        assert root == index.sift(np.stack([compose(g, m) for m in members])).min()
 
 
 @pytest.mark.parametrize("q", [5, 7, 9, 11, 13])
@@ -820,6 +899,16 @@ def test_quotient_rejects_non_normal():
     group, _ = entry_by_key("sym(4)").build()
     with pytest.raises(ValueError):
         quotient_group(group, [perm_from_cycles([[0, 1]], 4)])
+
+
+def test_quotient_refuses_the_regular_path_above_the_class_cap():
+    """S11/A11: A11 is transitive, so the orbit action is trivial, and the
+    regular path needs a rank index on the 39,916,800 elements of S11."""
+    cycle = perm_from_cycles([list(range(11))], 11)
+    group = PermGroup(11, [cycle, perm_from_cycles([[0, 1]], 11)])
+    alt = [cycle, perm_from_cycles([[0, 1, 2]], 11)]
+    with pytest.raises(ResourceLimitError, match=f"enumeration cap {CLASS_CAP}"):
+        quotient_group(group, alt)
 
 
 # ---------------------------------------------------------------------------
