@@ -13,8 +13,9 @@ cap (e.g. a character table with more classes than `chartab.MAX_CLASSES`) or
 a `bound` grid point outside its claim's domain exits 2 with a one-line
 message on stderr.
 
-The disk caches are set by the environment variable `REGCLASS_CACHE_DIR`
-alone; no subcommand takes a cache option.
+The one disk cache, of verified character tables, is set by the
+environment variable `REGCLASS_CACHE_DIR` alone; no subcommand takes a cache
+option.  Class tables are always enumerated.
 """
 
 from __future__ import annotations

@@ -97,6 +97,18 @@ class FieldSpec:
         return self._exp[1]
 
 
+def _reduce(poly, monic, ell):
+    """The remainder of a digit list mod a monic polynomial of degree f, as
+    f digits: the only polynomial division of this module."""
+    f = len(monic) - 1
+    rem = list(poly)
+    for i in range(len(rem) - 1, f - 1, -1):
+        c = rem[i] % ell
+        for j in range(f + 1):
+            rem[i - f + j] -= c * monic[j]
+    return [c % ell for c in rem[:f]]
+
+
 def _times(a, b, modulus, ell):
     """The product of two digit lists mod the monic modulus: the only
     polynomial product of this module, used to build the exp table."""
@@ -105,11 +117,7 @@ def _times(a, b, modulus, ell):
     for i, x in enumerate(a):
         for j, y in enumerate(b):
             prod[i + j] += x * y
-    for i in range(2 * f - 2, f - 1, -1):
-        c = prod[i] % ell
-        for j in range(f + 1):
-            prod[i - f + j] -= c * modulus[j]
-    return [c % ell for c in prod[:f]]
+    return _reduce(prod, modulus, ell)
 
 
 def _powers_of_least_primitive(digits, modulus, ell):
@@ -144,32 +152,6 @@ def _powers_of_least_primitive(digits, modulus, ell):
     return powers
 
 
-def _poly_trim(p):
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_divmod(a, b, ell):
-    a = _poly_trim(list(a))
-    b = _poly_trim(list(b))
-    if not b:
-        raise ZeroDivisionError
-    binv = pow(b[-1], -1, ell)
-    q = [0] * max(0, len(a) - len(b) + 1)
-    r = list(a)
-    while len(r) >= len(b):
-        c = r[-1] * binv % ell
-        d = len(r) - len(b)
-        q[d] = c
-        for i in range(len(b)):
-            r[d + i] = (r[d + i] - c * b[i]) % ell
-        _poly_trim(r)
-        if not r:
-            break
-    return _poly_trim(q), r
-
-
 def _is_irreducible(mod, ell):
     """Irreducibility of a monic polynomial over GF(ell) by root/factor scan.
 
@@ -180,9 +162,7 @@ def _is_irreducible(mod, ell):
     f = len(mod) - 1
     for d in range(1, f // 2 + 1):
         for tail in product(range(ell), repeat=d):
-            div = list(tail) + [1]
-            _, r = _poly_divmod(mod, div, ell)
-            if not r:
+            if not any(_reduce(mod, list(tail) + [1], ell)):
                 return False
     return True
 

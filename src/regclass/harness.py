@@ -5,6 +5,8 @@ compares them against closed-form thresholds with integer arithmetic only.
 Every catalog entry is below the one class-enumeration cap, so the class
 suites (`thm1`, `thm2`, `table1`) never skip an entry; class tables are
 memoized per catalog key, so one process keeps every table it enumerated.
+The one disk cache holds character tables (`REGCLASS_CACHE_DIR`); a class
+table is never stored, since verifying it would enumerate it again.
 `thm1` reads its order cap from `CAPS`, which every report records.  The
 module bound (`lemma72`) tests irreducibility by spinning vectors with the
 character tables' elimination, `chartab.rref_mod`.  Results are collected
@@ -33,9 +35,8 @@ from .catalog import (CatalogEntry, default_catalog, entry_by_key, linear_perm,
 from .gf import make_field
 from .numtheory import EQUAL, GREATER, LESS, cmp_threshold, factorize
 from .permgroup import (CLASS_CAP, ConsistencyError, PermGroup, as_perm,
-                        class_counts, conjugacy_classes, load_class_table,
-                        orbits, perm_from_cycles, perm_power, quotient_group,
-                        save_class_table)
+                        class_counts, conjugacy_classes, orbits,
+                        perm_from_cycles, perm_power, quotient_group)
 from . import chartab
 
 SCHEMA_VERSION = 1
@@ -136,62 +137,44 @@ def parse_report(data: bytes) -> VerificationReport:
 
 
 # ---------------------------------------------------------------------------
-# shared construction with optional disk cache
+# shared construction, with a verified disk cache of character tables
 # ---------------------------------------------------------------------------
 
-def cache_dir() -> str | None:
-    return os.environ.get("REGCLASS_CACHE_DIR")
-
-
-@lru_cache(maxsize=None)
 def built_entry(key: str):
-    """(PermGroup, aut_conjugators) for a catalog key, memoized per process."""
+    """(PermGroup, aut_conjugators) for a catalog key; `CatalogEntry.build`
+    memoizes them per process."""
     return entry_by_key(key).build()
-
-
-def _load_cached(path: str, load):
-    """`load(path)` if the cache file exists and verifies; None, with a
-    warning naming the file and the reason, if it is rejected."""
-    if not os.path.exists(path):
-        return None
-    try:
-        return load(path)
-    except (OSError, ValueError, ConsistencyError) as exc:
-        warnings.warn(f"rejected cache file {path}: {type(exc).__name__}: "
-                      f"{exc}; recomputing")
-        return None
 
 
 @lru_cache(maxsize=None)
 def class_table_for(key: str):
-    """The class table of a catalog entry, memoized per key."""
-    group, _ = built_entry(key)
-    d = cache_dir()
-    if d:
-        path = os.path.join(d, f"classes-{key}-v{__version__}.txt")
-        table = _load_cached(path, lambda p: load_class_table(group, p))
-        if table is not None:
-            return table
-    table = conjugacy_classes(group)
-    if d:
-        os.makedirs(d, exist_ok=True)
-        save_class_table(table, path)
-    return table
+    """The class table of a catalog entry, memoized per key.  It is never
+    cached on disk: verifying a stored table would enumerate it again."""
+    return conjugacy_classes(built_entry(key)[0])
 
 
 @lru_cache(maxsize=None)
 def character_table_for(key: str):
+    """The character table of a catalog entry, memoized per key.  With
+    `REGCLASS_CACHE_DIR` set, it is loaded from that directory when a stored
+    table verifies (`chartab.load_character_table`), and otherwise computed
+    and saved there; a rejected file is reported by a warning naming the
+    file and the reason."""
     group, _ = built_entry(key)
     table = class_table_for(key)
-    d = cache_dir()
+    d = os.environ.get("REGCLASS_CACHE_DIR")
     if not d:
         return chartab.character_table(group, table)
     path = os.path.join(d, f"chars-{key}-v{__version__}.txt")
-    ct = _load_cached(path, lambda p: chartab.load_character_table(table, p))
-    if ct is None:
-        ct = chartab.character_table(group, table)
-        os.makedirs(d, exist_ok=True)
-        chartab.save_character_table(ct, path)
+    if os.path.exists(path):
+        try:
+            return chartab.load_character_table(table, path)
+        except (OSError, ValueError, ConsistencyError) as exc:
+            warnings.warn(f"rejected cache file {path}: {type(exc).__name__}: "
+                          f"{exc}; recomputing")
+    ct = chartab.character_table(group, table)
+    os.makedirs(d, exist_ok=True)
+    chartab.save_character_table(ct, path)
     return ct
 
 
@@ -572,5 +555,5 @@ __all__ = [
     "verify_table1", "verify_lemma72", "verify_lemma81", "check_module_bound",
     "module_bound_fixtures", "quotient_pairs", "is_sharp_frobenius",
     "TABLE1_DEFAULT_ROWS", "SUITES", "SCHEMA_VERSION",
-    "CAPS", "cache_dir",
+    "CAPS",
 ]

@@ -106,26 +106,29 @@ def _compare(lhs, rhs) -> int:
 # the rank-power theorem
 # ---------------------------------------------------------------------------
 
-def thm4_certify(params: LieParams, k_pprime_observed: int | None = None,
-                 constant: int = 17) -> BoundCertificate:
-    """Certify k_{p'}(S) > q^r / (constant * r^2).
+RANK_POWER_CONSTANT = 17  # the c of the rank-power bound q^r / (c r^2)
+
+
+def thm4_certify(params: LieParams,
+                 k_pprime_observed: int | None = None) -> BoundCertificate:
+    """Certify k_{p'}(S) > q^r / (17 r^2).
 
     With an observed brute-force k_{p'} the comparison is pure-integer:
-    observed * constant * r^2 vs q^r.  Without one, the family's
-    closed-form lower-bound chain is evaluated and compared against
-    q^r/(constant r^2); an Indeterminate or Less verdict means the chain
-    alone does not settle the point (not that the theorem fails there)."""
+    observed * 17 * r^2 vs q^r.  Without one, the family's closed-form
+    lower-bound chain is evaluated and compared against q^r/(17 r^2); an
+    Indeterminate or Less verdict means the chain alone does not settle the
+    point (not that the theorem fails there)."""
     r = params.r
     qr = params.rank_power
-    claim = f"rank-power-bound-{constant}"
+    c = RANK_POWER_CONSTANT
+    claim = f"rank-power-bound-{c}"
+    rhs = Fraction(qr, c * r * r)
     if k_pprime_observed is not None:
         lhs = Fraction(k_pprime_observed)
-        rhs = Fraction(qr, constant * r * r)
-        verdict = _compare(lhs * constant * r * r, Fraction(qr))
+        verdict = _compare(lhs * c * r * r, Fraction(qr))
         return BoundCertificate(claim, (params.family, r, params.q),
                                 lhs, rhs, verdict)
     lhs = _chain_lower_bound(params)
-    rhs = Fraction(qr, constant * r * r)
     return BoundCertificate(claim, (params.family, r, params.q), lhs, rhs,
                             _compare(lhs, rhs))
 

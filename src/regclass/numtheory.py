@@ -83,7 +83,7 @@ def factorize(n: int) -> Factorization:
 
     Residual cofactors that survive trial division up to 2**16 are certified
     prime by the deterministic Miller-Rabin test (inputs stay below 2**64, so
-    a surviving cofactor has at most two prime factors; a composite survivor
+    a surviving cofactor has at most three prime factors; a composite survivor
     is split by Pollard's rho).
     """
     if n < 1:
@@ -106,14 +106,7 @@ def factorize(n: int) -> Factorization:
                 pairs[-1] = (p, pairs[-1][1] + 1)
             else:
                 pairs.append((p, 1))
-    pairs.sort()
-    merged = []
-    for p, e in pairs:
-        if merged and merged[-1][0] == p:
-            merged[-1] = (p, merged[-1][1] + e)
-        else:
-            merged.append((p, e))
-    return Factorization(tuple(merged))
+    return Factorization(tuple(pairs))
 
 
 def _split_large(m: int) -> list[int]:
@@ -414,16 +407,16 @@ def e_enclosure() -> Enclosure:
     return Enclosure(E_LO, E_HI)
 
 
-def sqrt_enclosure(x, bits: int = 64) -> Enclosure:
-    """An enclosure of sqrt(x) for nonnegative rational x, width ~2**-bits."""
+def sqrt_enclosure(x) -> Enclosure:
+    """An enclosure of sqrt(x) for nonnegative rational x, width ~2**-64."""
     x = Fraction(x)
     if x < 0:
         raise ValueError("sqrt of negative rational")
     if x == 0:
         return Enclosure.exact(0)
-    # sqrt(a/b) = sqrt(a*b)/b; scale so the integer sqrt carries `bits` bits
-    # of fractional precision.
-    scale = 1 << bits
+    # sqrt(a/b) = sqrt(a*b)/b; scale so the integer sqrt carries 64 bits of
+    # fractional precision.
+    scale = 1 << 64
     n = x.numerator * x.denominator * scale * scale
     s = isqrt(n)
     den = x.denominator * scale

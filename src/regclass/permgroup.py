@@ -28,6 +28,8 @@ import numpy as np
 from .numtheory import p_part
 
 CLASS_CAP = 20_000_000  # above every catalog entry; psl2(256) is 16,776,960
+BURNSIDE_CAP = 10_000  # group order above which the Burnside oracle refuses
+DEGREE_CAP = 1 << 16  # largest degree of a PermGroup
 CHUNK = 1 << 14  # elements per batch in rank-index sweeps
 BATCH = 1 << 16  # entries (rows x degree) per batch of chain-build rows
 
@@ -459,7 +461,7 @@ class RankIndex:
 
 class PermGroup:
     def __init__(self, degree: int, generators, name: str | None = None):
-        if degree < 1 or degree > 1 << 16:
+        if degree < 1 or degree > DEGREE_CAP:
             raise ValueError("degree out of range")
         self.degree = degree
         gens = []
@@ -702,9 +704,9 @@ def _classify(group: PermGroup) -> ClassTable:
     return ClassTable(group, classes, remap[found_id])
 
 
-def conjugacy_classes(group: PermGroup, cap: int = CLASS_CAP) -> ClassTable:
+def conjugacy_classes(group: PermGroup) -> ClassTable:
     """Enumerate the conjugacy classes of `group` on its rank index."""
-    check_class_cap(group.order, cap)
+    check_class_cap(group.order, CLASS_CAP)
     return _classify(group)
 
 
@@ -758,17 +760,23 @@ def quotient_group(group: PermGroup, normal_gens,
     """The quotient G/N as a faithful permutation group: G on the N-orbits
     of a G-set (`_on_orbits`).
 
-    Normality is verified exhaustively on generators; a failing conjugate is
-    reported as a witness.  Because N is normal, each generator of G
-    permutes the N-orbits of the points, and N acts trivially on them; so
-    that action is a faithful G/N exactly when its order is |G:N|, and then
-    it is returned.  Otherwise the G-set is G itself, numbered by rank: N
+    N must lie in G, and a generator of N outside G is named.  Normality is
+    verified exhaustively on generators; a failing conjugate is reported as
+    a witness.  Because N is normal, each generator of G permutes the
+    N-orbits of the points, and N acts trivially on them; so that action is
+    a faithful G/N exactly when its order is |G:N|, and then it is
+    returned.  Otherwise the G-set is G itself, numbered by rank: N
     acts by right multiplication, r -> rank(x_r n), whose orbits are the
     cosets xN, and G by left multiplication, r -> rank(g x_r), which
     permutes them (Holt, Eick and O'Brien, Handbook of Computational Group
     Theory, ch. 4).  That path needs G's rank index, so |G| is held to the
-    class-enumeration cap, and its result must have order |G:N|."""
+    class-enumeration cap; its degree is |G:N|, which is held to
+    `DEGREE_CAP` before any rank action is built; and its result must have
+    order |G:N|."""
     n_group = PermGroup(group.degree, normal_gens, name="N")
+    for ng in n_group.generators:
+        if not group.contains(ng):
+            raise ValueError(f"generator {ng.tolist()} of N is not in G")
     for ng in n_group.generators:
         for g in group.generators:
             conj = conjugate(g, ng, inverse(g))
@@ -782,6 +790,9 @@ def quotient_group(group: PermGroup, normal_gens,
     if quotient.order == index:
         return quotient
 
+    if index > DEGREE_CAP:
+        raise ResourceLimitError(
+            f"index {index} exceeds degree cap {DEGREE_CAP} of the regular quotient")
     check_class_cap(group.order, CLASS_CAP)
     one = group.identity()
     actions = _rank_actions(group.chain.index,
@@ -798,14 +809,15 @@ def quotient_group(group: PermGroup, normal_gens,
 # Burnside cross-check
 # ---------------------------------------------------------------------------
 
-def burnside_class_count(group: PermGroup, cap: int = 10_000) -> int:
+def burnside_class_count(group: PermGroup) -> int:
     """Number of classes as the average number of fixed points of the
     conjugation action, computed exhaustively (an independent oracle).
     g x g^-1 = x is tested on the base points, whose images determine an
     element: (g x g^-1)(b) = g[x[g^-1[b]]]."""
     n = group.order
-    if n > cap:
-        raise ResourceLimitError(f"group order {n} exceeds Burnside cap {cap}")
+    if n > BURNSIDE_CAP:
+        raise ResourceLimitError(
+            f"group order {n} exceeds Burnside cap {BURNSIDE_CAP}")
     base = np.array(group.chain.base, dtype=np.intp)
     elements = np.stack(list(group.elements()))
     at_base = elements[:, base]
@@ -885,5 +897,5 @@ __all__ = [
     "orbit_labels", "orbits", "class_counts",
     "power_class_map", "quotient_group",
     "burnside_class_count", "save_class_table", "load_class_table",
-    "CLASS_CAP", "CHUNK",
+    "CLASS_CAP", "DEGREE_CAP", "CHUNK",
 ]

@@ -68,7 +68,7 @@ def test_verify_has_no_max_order_option(capsys):
 
 
 def test_classes_has_no_cache_option(capsys):
-    """The disk caches are set by `REGCLASS_CACHE_DIR` alone; argparse
+    """The character-table cache is set by `REGCLASS_CACHE_DIR` alone; argparse
     refuses the option with exit status 2."""
     with pytest.raises(SystemExit) as exc:
         main(["classes", "alt(5)", "--cache", "x"])

@@ -37,6 +37,14 @@ def test_factorize_matches_sympy(n):
     assert prod(p**m for p, m in fac.pairs) == n
 
 
+@pytest.mark.parametrize("n", [12 * 65537**2, 65537**3, 65521 * 65537**2,
+                               3 * (2**31 - 1)**2])
+def test_factorize_merges_a_repeated_prime_above_the_trial_bound(n):
+    """A square of a prime above 2**16 survives trial division whole and is
+    split into two equal primes, which fold into one pair."""
+    assert list(factorize(n).pairs) == sorted(sympy.factorint(n).items())
+
+
 def test_factorize_large_semiprime():
     p, q = 1_000_003, 1_000_033
     assert dict(factorize(p * q).pairs) == {p: 1, q: 1}

@@ -6,6 +6,7 @@ from functools import lru_cache
 from math import gcd, lcm
 
 import random
+import re
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from regclass.harness import quotient_pairs
 from regclass.numtheory import factorize, p_part
 from regclass import permgroup
 from regclass.chartab import galois_fixed_classes
-from regclass.permgroup import (CLASS_CAP, ConsistencyError, PermGroup,
+from regclass.permgroup import (CLASS_CAP, DEGREE_CAP, ConsistencyError,
+                                PermGroup,
                                 ResourceLimitError, StabilizerChain, as_perm,
                                 burnside_class_count, class_counts,
                                 compose, conjugacy_classes, conjugate,
@@ -575,9 +577,12 @@ def test_known_class_counts():
 
 
 def test_enumeration_cap():
-    group, _ = entry_by_key("psl2(27)").build()
-    with pytest.raises(ResourceLimitError):
-        conjugacy_classes(group, cap=1000)
+    """sym(11), of order 39,916,800, is above the cap: its chain is cheap
+    and the refusal comes before any enumeration."""
+    group = PermGroup(11, [perm_from_cycles([list(range(11))], 11),
+                           perm_from_cycles([[0, 1]], 11)])
+    with pytest.raises(ResourceLimitError, match=f"enumeration cap {CLASS_CAP}"):
+        conjugacy_classes(group)
 
 
 # ---------------------------------------------------------------------------
@@ -899,6 +904,34 @@ def test_quotient_rejects_non_normal():
     group, _ = entry_by_key("sym(4)").build()
     with pytest.raises(ValueError):
         quotient_group(group, [perm_from_cycles([[0, 1]], 4)])
+
+
+@pytest.mark.parametrize("group_gens, normal_gens", [
+    ([[[0, 1], [2, 3]]], [[[0, 1]]]),  # passes the normality test
+    ([[[0, 1]]], [[[2, 3]]]),  # its orbit action is not a G/N
+], ids=["normalized", "disjoint"])
+def test_quotient_refuses_a_subgroup_outside_g(group_gens, normal_gens):
+    group = PermGroup(4, [perm_from_cycles(c, 4) for c in group_gens])
+    normal = [perm_from_cycles(c, 4) for c in normal_gens]
+    with pytest.raises(ValueError, match=re.escape(
+            f"generator {normal[0].tolist()} of N is not in G")):
+        quotient_group(group, normal)
+
+
+def test_quotient_refuses_the_regular_path_above_the_degree_cap():
+    """S4 x C15015 mod V4: V4 fixes the 15015-cycle's points, so the orbit
+    action keeps C15015 and is not a G/N, and the regular quotient would
+    have degree |G:N| = 90,090.  It is refused before any rank action is
+    built."""
+    cycle = perm_from_cycles([list(range(4 + m, 4 + m + k)) for m, k in
+                              ((0, 3), (3, 5), (8, 7), (15, 11), (26, 13))], 43)
+    group = PermGroup(43, [perm_from_cycles([[0, 1, 2, 3]], 43),
+                           perm_from_cycles([[0, 1]], 43), cycle])
+    v4 = [perm_from_cycles([[0, 1], [2, 3]], 43),
+          perm_from_cycles([[0, 2], [1, 3]], 43)]
+    assert group.order == 360_360
+    with pytest.raises(ResourceLimitError, match=f"index 90090 exceeds degree cap {DEGREE_CAP}"):
+        quotient_group(group, v4)
 
 
 def test_quotient_refuses_the_regular_path_above_the_class_cap():
