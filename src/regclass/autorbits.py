@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numtheory import p_part
-from .permgroup import ClassTable, PermGroup, conjugate, inverse, orbits
+from .permgroup import ClassTable, PermGroup, inverse, orbits
 
 
 @dataclass(frozen=True)
@@ -30,12 +30,11 @@ def fuse_classes(table: ClassTable, group: PermGroup, conjugators) -> OrbitParti
     Each conjugator must normalize the group; violations are rejected with a
     witness.  Orbits are numbered by least member class index."""
     for c in conjugators:
-        if not group.normalized_by(c):
-            witness = next(g for g in group.generators
-                           if not group.contains(conjugate(c, g, inverse(c))))
+        if (witness := group.normality_witness(c)) is not None:
+            g, conj = witness
             raise ValueError(
                 f"conjugator does not normalize the group; witness generator "
-                f"{witness.tolist()}")
+                f"{g.tolist()} goes to {conj.tolist()}")
 
     # conjugation by a normalizing c permutes the classes
     reps = np.stack([cls.rep for cls in table.classes])

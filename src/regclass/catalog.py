@@ -356,8 +356,11 @@ def _build_checked(family, params):
         raise RuntimeError(
             f"{family}{params}: built order {group.order} != formula {expected}")
     for c in conjs:
-        if not group.normalized_by(c):
-            raise RuntimeError(f"{family}{params}: conjugator fails to normalize")
+        if (witness := group.normality_witness(c)) is not None:
+            g, conj = witness
+            raise RuntimeError(
+                f"{family}{params}: conjugator fails to normalize: generator "
+                f"{g.tolist()} goes to {conj.tolist()}")
     return group, list(conjs)
 
 

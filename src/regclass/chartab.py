@@ -14,15 +14,17 @@ revisited", J. Symbolic Comput. 9, 1990), a class matrix is computed only
 where a split reads it.  Each subspace is a basis B that is the identity at
 its pivot rows R, so M B = B X gives X = M[R] B, and class i is computed only
 at the union of the pivot rows of the subspaces of dimension > 1 (row j of
-M_i is a bincount over C_i, `class_matrix`).  An eigenspace's pivot rows are
-R at the free columns of its kernel basis, which is the identity there.
-Where X is a scalar lambda*I, M_i acts on the subspace as lambda, so the
-subspace is kept as it is, with no characteristic polynomial, root scan or
-kernel; X is still solved from B[R], which must be invertible.  Rows alone
-cannot show that a subspace is invariant; in its place every final
-eigenvector w, scaled to w[0] = 1, must satisfy M_i[R_i] w = w[i] w[R_i]
-for each class i used and its computed rows R_i (row 0 of M_i is e_i, so
-the eigenvalue is w[i]).
+M_i is a bincount over C_i, `class_matrix`).  Classes are taken one per orbit
+of the power maps g -> g^k (k a unit mod e) first, then the rest, each part
+by size: the rest of an orbit has Galois-conjugate eigenvalues and rarely
+splits anything more.  An eigenspace's pivot rows are R at the free columns
+of its kernel basis, which is the identity there.  Where X is a scalar
+lambda*I, M_i acts on the subspace as lambda, so the subspace is kept as it
+is, with no characteristic polynomial, root scan or kernel; X is still
+solved from B[R], which must be invertible.  Rows alone cannot show that a
+subspace is invariant; in its place every final eigenvector w, scaled to
+w[0] = 1, must satisfy M_i[R_i] w = w[i] w[R_i] for each class i used and
+its computed rows R_i (row 0 of M_i is e_i, so the eigenvalue is w[i]).
 
 The power maps come from one power table: the powers rep^0..rep^(o-1) of
 every class representative, stacked and classified by one batched class
@@ -35,7 +37,8 @@ A table is finished in one place, `_from_mod_values`, from its values mod P:
 a fresh build gets them from the eigenvectors, a cache load reads them from
 the file.  Either way the degrees, mod-P orthogonality, the lift and exact
 row and column orthogonality are checked before a table is returned, the
-last modulo auxiliary primes Q = 1 (mod e).  An inner product minus its
+last modulo auxiliary primes Q = 1 (mod e); P and each Q come from one scan
+and meet the int64 bound of `_check_int64`.  An inner product minus its
 constant is a cyclotomic integer beta whose conjugates are all at most S
 (the coefficient mass plus |G|) in absolute value; if it vanishes mod Q at
 every embedding zeta -> z^k, it lies in Q Z[zeta], so once the product of
@@ -58,14 +61,16 @@ compares the two.
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import gcd
+from itertools import count
+from math import gcd, isqrt
 
 import numpy as np
 
 from .numtheory import (cmp_threshold, divisors, factorize, is_prime,
                         p_part, primitive_root)
 from .permgroup import (CHUNK, ClassTable, ConsistencyError, PermGroup,
-                        ResourceLimitError, class_counts, power_class_map)
+                        ResourceLimitError, class_counts, orbits,
+                        power_class_map)
 
 MAX_CLASSES = 80
 MAX_ORDER = 3_000_000
@@ -198,42 +203,45 @@ def _evaluations(values, e: int, q: int, ks: np.ndarray) -> np.ndarray:
 # modular primes and roots
 # ---------------------------------------------------------------------------
 
+def _primes_one_mod(e: int, lo: int):
+    """The primes p = 1 (mod e) from floor(lo/e)*e + 1 upward, ascending."""
+    return filter(is_prime, count(lo // e * e + 1, e))
+
+
+def _check_int64(m: int, terms: int) -> None:
+    """Refuse a modulus m unless a sum of `terms` products of residues mod m
+    stays below 2^63, as every matrix product `@ ... % m` here assumes."""
+    if terms * (m - 1) ** 2 >= 1 << 63:
+        raise ResourceLimitError(f"modulus {m} too large for int64 products")
+
+
 def dixon_prime(e: int, group_order: int) -> int:
-    """Least prime P = 1 (mod e) with P^2 > 4|G|."""
-    p = e + 1
-    while True:
-        if p * p > 4 * group_order and is_prime(p):
-            return p
-        p += e if e > 1 else 1
-
-
-def _root_of_unity(p: int, e: int) -> int:
-    """A primitive e-th root of unity mod p (requires e | p-1)."""
-    g = primitive_root(p)
-    return pow(g, (p - 1) // e, p)
+    """Least prime P = 1 (mod e) with P^2 > 4|G|, checked for products of
+    |G| terms, a bound on every class count and element order."""
+    root = isqrt(4 * group_order)
+    p = next(p for p in _primes_one_mod(e, root) if p > root)
+    _check_int64(p, group_order)
+    return p
 
 
 @lru_cache(maxsize=None)
 def _root_powers(p: int, e: int) -> np.ndarray:
-    """z^0, ..., z^(e-1) mod p for the primitive e-th root z of
-    `_root_of_unity`; read-only, since every caller shares one array."""
-    z = _root_of_unity(p, e)
+    """z^0, ..., z^(e-1) mod p, z = g^((p-1)/e) for the least primitive root
+    g mod p (e | p - 1); read-only, since every caller shares one array."""
+    z = pow(primitive_root(p), (p - 1) // e, p)
     powers = np.array([pow(z, t, p) for t in range(e)], dtype=np.int64)
     powers.flags.writeable = False
     return powers
 
 
 def _aux_primes(e: int, needed_product: int) -> list[int]:
-    """Primes = 1 (mod e) near 2**26 whose product exceeds needed_product."""
-    primes = []
-    prod = 1
-    p = ((1 << 26) // max(e, 1)) * max(e, 1) + 1
-    while prod <= needed_product:
-        if is_prime(p):
-            primes.append(p)
-            prod *= p
-        p += e if e > 1 else 1
-    return primes
+    """The scan's primes from 2**26, until their product > needed_product."""
+    primes, product = [], 1
+    for q in _primes_one_mod(e, 1 << 26):
+        if product > needed_product:
+            return primes
+        primes.append(q)
+        product *= q
 
 
 # ---------------------------------------------------------------------------
@@ -261,8 +269,7 @@ def class_matrix(table: ClassTable, i: int, rows) -> np.ndarray:
     step = max(1, CHUNK // len(rows))
     for start in range(0, len(members), step):
         images = index.images(members[start:start + step], points)
-        # column-major: `rank` reads and rewrites one base column at a time
-        ranks = index.rank(np.asfortranarray(images.reshape(-1, width)))
+        ranks = index.rank(images.reshape(-1, width))
         ids = table.class_id[ranks].reshape(-1, len(rows)) + offsets
         counts += np.bincount(ids.ravel(), minlength=len(counts))
     sizes = np.array(table.sizes, dtype=np.int64)
@@ -426,17 +433,6 @@ class CharacterTable:
         return units, np.stack([fixed[ids].all(axis=0) for ids in value_id])
 
 
-def _matmul_mod(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
-    """A @ B mod p for entries in [0, p), in int64 without overflow."""
-    step = ((1 << 63) - p) // max((p - 1) ** 2, 1)
-    if step < 1:
-        raise ResourceLimitError(f"modulus {p} too large for int64 products")
-    out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
-    for lo in range(0, A.shape[1], step):
-        out = (out + A[:, lo:lo + step] @ B[lo:lo + step]) % p
-    return out
-
-
 def _lift(mod_values: np.ndarray, degrees, power, e: int, P: int):
     """Exact values from mod-P character values, one discrete Fourier
     transform per class: on a class of order o (step = e/o), the
@@ -450,13 +446,12 @@ def _lift(mod_values: np.ndarray, degrees, power, e: int, P: int):
         step = e // o
         s = np.arange(o)
         roots = z_pows[-step * np.outer(s, s) % e]
-        mults = _matmul_mod(mod_values[:, pw], roots, P) * pow(o, -1, P) % P
+        mults = mod_values[:, pw] @ roots % P * pow(o, -1, P) % P
         if (mults > degs[:, None]).any():
             raise ConsistencyError("lifted multiplicity out of range")
         if (mults.sum(axis=1) != degs).any():
             raise ConsistencyError("eigenvalue multiplicities do not sum to the degree")
-        if (_matmul_mod(mults, z_pows[step * s][:, None], P)[:, 0]
-                != mod_values[:, j]).any():
+        if (mults @ z_pows[step * s] % P != mod_values[:, j]).any():
             raise ConsistencyError("lift does not reproduce the modular value")
         # one nonzero scan per class, split by character with list slices
         at, s_nz = np.nonzero(mults)
@@ -482,7 +477,7 @@ def character_table(group: PermGroup, table: ClassTable) -> CharacterTable:
 def _mod_table(table: ClassTable, P: int) -> np.ndarray:
     """The K x K character table mod P, one row per character in the order
     the eigenspaces split, from simultaneous eigenvectors of the class
-    matrices over GF(P)."""
+    matrices over GF(P), taken one per Galois class orbit first."""
     K = len(table.classes)
     n = table.group.order
     # each subspace is (basis B, pivot rows R) with B[R] = I; class i is
@@ -490,8 +485,11 @@ def _mod_table(table: ClassTable, P: int) -> np.ndarray:
     subspaces = [(np.eye(K, dtype=np.int64), np.arange(K))]
     computed = []
     at = np.empty(K, dtype=np.intp)
-    by_size = sorted(range(1, K), key=lambda i: (table.classes[i].size, i))
-    for i in by_size:
+    maps = [power_class_map(table, k) for k in _unit_generators(table.exponent)]
+    roots, orbit_id = orbits(maps, K)
+    later = roots[orbit_id] != np.arange(K)
+    order = sorted(range(1, K), key=lambda i: (later[i], table.classes[i].size, i))
+    for i in order:
         unsplit = [R for _, R in subspaces if len(R) > 1]
         if not unsplit:
             break
@@ -606,6 +604,7 @@ def _verify_exact_orthogonality(ct: CharacterTable):
     distinct, value_id = ct._interned
     eye = np.eye(len(ct.degrees), dtype=np.int64)
     for Q in _aux_primes(e, max(mass_row, mass_col) + n):
+        _check_int64(Q, len(ct.degrees))
         # the value matrices at zeta -> zq and zeta -> zq^-1, each distinct
         # value evaluated once; [embedding][character][class]
         A = _evaluations(distinct, e, Q, np.array([1, e - 1])).T[:, value_id]

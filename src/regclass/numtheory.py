@@ -11,7 +11,7 @@ anywhere.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, lcm, prod
+from math import gcd, isqrt, lcm
 
 
 # ---------------------------------------------------------------------------
@@ -68,10 +68,6 @@ class Factorization:
             raise ValueError("primes must be strictly increasing")
         if any(m < 1 for _, m in self.pairs):
             raise ValueError("multiplicities must be >= 1")
-
-    @property
-    def n(self) -> int:
-        return prod(p**m for p, m in self.pairs)
 
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.pairs)
@@ -169,13 +165,16 @@ def multiplicative_order(a: int, m: int) -> int:
 @lru_cache(maxsize=None)
 def primitive_root(m: int) -> int:
     """The least g >= 1 whose powers are all the units mod m (m = 1, 2, 4,
-    p^a or 2 p^a); raises ValueError for any other m."""
-    phi = euler_phi(m)
+    p^a or 2 p^a); raises ValueError for any other m before any scan.  A
+    prime m has phi(m) = m - 1, so m itself is never trial-divided."""
+    odd = m // 2 if m % 4 == 2 else m  # p^a when m = p^a or 2 p^a
+    if not (odd in (1, 4) or is_prime(odd)
+            or odd % 2 and len(factorize(odd).pairs) == 1):
+        raise ValueError(f"no primitive root mod {m}")
+    phi = m - 1 if is_prime(m) else euler_phi(m)
     prime_divs = factorize(phi).primes()
-    for g in range(1, max(m, 2)):
-        if gcd(g, m) == 1 and all(pow(g, phi // q, m) != 1 for q in prime_divs):
-            return g
-    raise ValueError(f"no primitive root mod {m}")
+    return next(g for g in range(1, max(m, 2)) if gcd(g, m) == 1
+                and all(pow(g, phi // q, m) != 1 for q in prime_divs))
 
 
 def p_part(n: int, p: int) -> int:

@@ -10,7 +10,8 @@ strong generator closed again before the next Schreier generator; a level's
 Schreier generators are sifted as batches of rows, and each level is stored
 once, as arrays that the rank index reads too), one scalar strip through
 the chain (`contains`, and the rank that `ClassTable.class_of` reads), a
-rank index on the chain that numbers the elements 0..|G|-1, the actions
+rank index on the chain that numbers the elements 0..|G|-1 (ranked in a
+column-major copy, one 1-D gather per base column and level), the actions
 r -> rank(u x_r v) on those ranks, one orbit numbering (`orbits`),
 conjugacy classes as the orbits of conjugation on the ranks (a class table
 is one class id per rank), class counts, power maps on classes, and
@@ -352,12 +353,6 @@ class StabilizerChain:
     def order(self) -> int:
         return reduce(lambda a, level: a * len(level[1]), self.levels, 1)
 
-    def contains(self, g: np.ndarray) -> bool:
-        if len(g) != self.degree:
-            return False
-        residue, positions = self.strip(g)
-        return len(positions) == len(self.base) and is_identity(residue)
-
     @cached_property
     def index(self) -> "RankIndex":
         return RankIndex(self)
@@ -430,7 +425,7 @@ class RankIndex:
         """Ranks of the group elements with the given rows of base images;
         -1 where an image leaves its orbit.  Only rows that come from group
         elements are ranked correctly: `sift` checks arbitrary permutations."""
-        images = np.array(base_images, dtype=perm_dtype(self.degree))
+        images = np.array(base_images, dtype=perm_dtype(self.degree), order="F")
         ranks = np.zeros(len(images), dtype=np.int32)  # the order is < 2^31
         outside = np.zeros(len(images), dtype=bool)
         for i, (position, _, inv, radix) in enumerate(self.levels):
@@ -439,8 +434,9 @@ class RankIndex:
             outside |= missing
             pos[missing] = 0
             ranks += pos * radix
-            if i + 1 < len(self.levels):
-                images[:, i + 1:] = _gather_rows(inv, pos, images[:, i + 1:])
+            offsets = pos.astype(np.intp) * self.degree
+            for col in range(i + 1, len(self.levels)):
+                images[:, col] = inv.ravel()[offsets + images[:, col]]
         ranks[outside] = -1
         return ranks
 
@@ -490,7 +486,9 @@ class PermGroup:
         return self.chain.order
 
     def contains(self, g) -> bool:
-        return self.chain.contains(as_perm(g, self.degree))
+        """A member strips to the identity through every level."""
+        residue, positions = self.chain.strip(as_perm(g, self.degree))
+        return len(positions) == len(self.chain.base) and is_identity(residue)
 
     def elements(self):
         """Every group element exactly once, in rank order."""
@@ -504,11 +502,13 @@ class PermGroup:
     def identity(self) -> np.ndarray:
         return identity_perm(self.degree)
 
-    def normalized_by(self, c) -> bool:
-        """True iff conjugation by c maps every generator into the group."""
+    def normality_witness(self, c) -> tuple[np.ndarray, np.ndarray] | None:
+        """The first generator g whose conjugate c g c^-1 leaves the group,
+        with that conjugate; None when c normalizes the group."""
         c = as_perm(c, self.degree)
         cinv = inverse(c)
-        return all(self.contains(conjugate(c, g, cinv)) for g in self.generators)
+        conjugates = ((g, conjugate(c, g, cinv)) for g in self.generators)
+        return next(((g, x) for g, x in conjugates if not self.contains(x)), None)
 
 
 # ---------------------------------------------------------------------------
@@ -777,13 +777,12 @@ def quotient_group(group: PermGroup, normal_gens,
     for ng in n_group.generators:
         if not group.contains(ng):
             raise ValueError(f"generator {ng.tolist()} of N is not in G")
-    for ng in n_group.generators:
-        for g in group.generators:
-            conj = conjugate(g, ng, inverse(g))
-            if not n_group.contains(conj):
-                raise ValueError(
-                    f"subgroup is not normal: conjugate {conj.tolist()} "
-                    "of a subgroup generator lies outside the subgroup")
+    for g in group.generators:
+        if (escaped := n_group.normality_witness(g)) is not None:
+            ng, conj = escaped
+            raise ValueError(
+                f"subgroup is not normal: conjugate {conj.tolist()} of its "
+                f"generator {ng.tolist()} by {g.tolist()} lies outside it")
     index = group.order // n_group.order
     name = name or f"{group.name}/N"
     quotient = _on_orbits(n_group.generators, group.generators, group.degree, name)

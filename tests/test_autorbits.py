@@ -1,5 +1,7 @@
 """Class fusion under outer actions."""
 
+import re
+
 import pytest
 
 from regclass.autorbits import fuse_classes, orbit_counts
@@ -75,7 +77,13 @@ def test_inner_conjugator_fuses_nothing():
 
 
 def test_fusion_rejects_non_normalizing_conjugator():
+    """(0 1) conjugates the 6-cycle of C6 out of the group; the error names
+    the cycle and its image."""
     group, _ = entry_by_key("cyclic(6)").build()
     table = conjugacy_classes(group)
-    with pytest.raises(ValueError):
-        fuse_classes(table, group, [as_perm([1, 0, 2, 3, 4, 5], 6)])
+    c = as_perm([1, 0, 2, 3, 4, 5], 6)
+    (g,) = group.generators
+    conj = c[g[c]]  # c g c^-1, with c an involution
+    with pytest.raises(ValueError, match=re.escape(
+            f"witness generator {g.tolist()} goes to {conj.tolist()}")):
+        fuse_classes(table, group, [c])

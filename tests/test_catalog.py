@@ -1,6 +1,7 @@
 """Catalog constructions: orders, outer actions, matrix helpers."""
 
 import hashlib
+import re
 from math import gcd
 
 import pytest
@@ -9,7 +10,8 @@ from regclass import catalog, gf
 from regclass.catalog import (default_catalog, entry_by_key, family_order,
                               projective_points, sl2_center)
 from regclass.permgroup import (PermGroup, compose, conjugacy_classes,
-                                conjugate, inverse, is_identity)
+                                conjugate, inverse, is_identity,
+                                perm_from_cycles)
 
 
 def test_catalog_size_and_uniqueness():
@@ -27,7 +29,20 @@ def test_build_order_matches_formula(key):
     group, conjs = entry.build()
     assert group.order == entry.order
     for c in conjs:
-        assert group.normalized_by(c)
+        assert group.normality_witness(c) is None
+
+
+def test_a_conjugator_that_fails_to_normalize_is_named(monkeypatch):
+    """A builder whose conjugator (0 1) does not normalize C4 is refused,
+    and the error names the 4-cycle and its conjugate."""
+    group, _ = catalog._build_cyclic(4)
+    c = perm_from_cycles([[0, 1]], 4)
+    monkeypatch.setitem(catalog._BUILDERS, "cyclic", lambda n: (group, [c]))
+    (g,) = group.generators
+    conj = conjugate(c, g, inverse(c))
+    with pytest.raises(RuntimeError, match=re.escape(
+            f"generator {g.tolist()} goes to {conj.tolist()}")):
+        catalog._build_checked.__wrapped__("cyclic", (4,))
 
 
 def test_every_entry_has_at_most_two_generators():

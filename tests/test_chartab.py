@@ -3,7 +3,7 @@
 import copy
 import dataclasses
 import itertools
-from math import gcd
+from math import gcd, prod
 
 import numpy as np
 import pytest
@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from regclass import chartab, harness
 from regclass.catalog import default_catalog, entry_by_key
 from regclass.chartab import (CHUNK, CycValue, RationalityFlags,
-                              _aux_primes, _charpoly_mod, _eigen_split,
+                              _aux_primes, _charpoly_mod, _check_int64,
+                              _eigen_split,
                               _evaluations, _intern, _nullspace_mod,
                               _root_powers, _solve_coords, _unit_generators,
                               _units,
@@ -166,6 +167,59 @@ def test_dixon_prime():
     assert dixon_prime(30, 60) == 31          # 31 = 1 mod 30, 31^2 > 240
     p = dixon_prime(7, 168)
     assert p % 7 == 1 and p * p > 4 * 168 and sympy.isprime(p)
+
+
+def _reference_dixon_prime(e, n):
+    """The least prime P = 1 (mod e) with P^2 > 4n, scanned from e + 1."""
+    p = e + 1
+    while not (p * p > 4 * n and sympy.isprime(p)):
+        p += e
+    return p
+
+
+def _reference_aux_primes(e, needed):
+    """The primes = 1 (mod e) from floor(2^26/e)*e + 1 up, until their
+    product exceeds needed."""
+    primes, p = [], (1 << 26) // e * e + 1
+    while prod(primes) <= needed:
+        if sympy.isprime(p):
+            primes.append(p)
+        p += e
+    return primes
+
+
+def test_prime_scan_keeps_the_dixon_and_auxiliary_primes():
+    """P and the auxiliary primes Q of every in-cap table, and of psl2(128)
+    (exponent 2*127*129, order 128(128^2 - 1), largest degree 129), are
+    those of a scan from e + 1 and one from floor(2^26/e)*e + 1.  The Q
+    bound is the one `_verify_exact_orthogonality` uses: the class sizes
+    sum to n, so it is n * max(d)^2 + n."""
+    cases = [(32766, 2_097_024, 129)]
+    for entry in default_catalog():
+        if harness.chartab_feasible(entry):
+            ct = harness.character_table_for(entry.key)
+            assert ct.modular_prime == dixon_prime(ct.exponent, entry.order)
+            cases.append((ct.exponent, entry.order, max(ct.degrees)))
+    assert len(cases) > 80
+    assert dixon_prime(32766, 2_097_024) == 98_299
+    for e, n, max_d in cases:
+        assert dixon_prime(e, n) == _reference_dixon_prime(e, n)
+        bound = n * max_d * max_d + n
+        assert _aux_primes(e, bound) == _reference_aux_primes(e, bound)
+
+
+def test_a_modulus_past_the_int64_bound_is_refused():
+    """A sum of `terms` products of residues mod m must stay below 2^63:
+    m - 1 = 3,037,000,499 is the largest residue whose square does."""
+    _check_int64(3_037_000_500, 1)
+    with pytest.raises(ResourceLimitError, match="modulus 3037000500"):
+        _check_int64(3_037_000_500, 2)
+    _check_int64(1 << 26, 2048)  # a Q near 2^26 allows 2048 characters
+    with pytest.raises(ResourceLimitError, match="too large for int64"):
+        _check_int64(1 << 26, 2049)
+    # P > 2 sqrt(|G|) = 2e6 with 10^12 terms
+    with pytest.raises(ResourceLimitError, match="too large for int64"):
+        dixon_prime(1, 10**12)
 
 
 def test_cycvalue_algebra(tables):

@@ -1,5 +1,6 @@
 """Number-theory layer, checked against sympy oracles and brute force."""
 
+import itertools
 from fractions import Fraction
 from math import gcd, isqrt, prod
 
@@ -159,6 +160,52 @@ def test_multiplicative_order_matches_sympy(m, a):
             multiplicative_order(a, m)
     else:
         assert multiplicative_order(a, m) == sympy.n_order(a, m)
+
+
+def _trial_factor(n):
+    """(prime, multiplicity) pairs of n by trial division alone."""
+    pairs, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            m = 0
+            while n % d == 0:
+                n //= d
+                m += 1
+            pairs.append((d, m))
+        d += 1
+    return pairs + [(n, 1)] * (n > 1)
+
+
+def _trial_primitive_root(m):
+    """The least g whose order mod m is phi(m), the order found by trial
+    over the prime divisors of phi(m); None when there is none."""
+    phi = prod((p - 1) * p ** (a - 1) for p, a in _trial_factor(m))
+    divs = [q for q, _ in _trial_factor(phi)]
+    return next((g for g in range(1, max(m, 2)) if gcd(g, m) == 1
+                 and all(pow(g, phi // q, m) != 1 for q in divs)), None)
+
+
+_LARGE_PRIMES = (65_537, 65_539, 98_299, 1_000_003, 67_108_879)
+
+
+def test_factorize_and_primitive_root_above_2_16():
+    """Primes above 2^16, on their own, doubled and squared, and every
+    product of two: `factorize` gives the trial-division factors, and
+    `primitive_root` the trial-division root on the cyclic moduli
+    (p, 2p, p^2) and a refusal, with no scan, on the products of two odd
+    primes, which have none."""
+    for p in _LARGE_PRIMES:
+        assert factorize(p).pairs == ((p, 1),)
+        assert factorize(2 * p).pairs == ((2, 1), (p, 1))
+        assert factorize(p * p).pairs == ((p, 2),)
+        assert primitive_root(p) == _trial_primitive_root(p)
+        assert primitive_root(2 * p) == _trial_primitive_root(2 * p)
+        assert primitive_root(p * p) == sympy.primitive_root(p * p)
+    for p, q in itertools.combinations(_LARGE_PRIMES, 2):
+        assert factorize(p * q).pairs == ((p, 1), (q, 1))
+        with pytest.raises(ValueError, match="no primitive root"):
+            primitive_root(p * q)
+    assert _trial_factor(65_537 * 1_000_003) == [(65_537, 1), (1_000_003, 1)]
 
 
 def test_primitive_root_is_the_least_one():

@@ -351,7 +351,11 @@ def test_rank_inverts_unrank(key, data):
     ranks = np.array(data.draw(st.lists(st.integers(0, group.order - 1),
                                         min_size=1, max_size=16)))
     elements = index.unrank(ranks)
-    assert (index.rank(elements[:, index.base]) == ranks).all()
+    base_images = elements[:, index.base]
+    before = base_images.copy()
+    assert (index.rank(base_images) == ranks).all()
+    assert (index.rank(np.asfortranarray(base_images)) == ranks).all()
+    assert (base_images == before).all()
     assert (index.sift(elements) == ranks).all()
     strips = [group.chain.strip(g) for g in elements]
     assert all(is_identity(residue) for residue, _ in strips)
@@ -901,9 +905,17 @@ def test_chain_never_sifts_a_level_twice_with_one_stamp(key):
 
 
 def test_quotient_rejects_non_normal():
+    """<(0 1)> in S4: the error names the first generator of G that moves
+    it out, and the conjugate."""
     group, _ = entry_by_key("sym(4)").build()
-    with pytest.raises(ValueError):
-        quotient_group(group, [perm_from_cycles([[0, 1]], 4)])
+    ng = perm_from_cycles([[0, 1]], 4)
+    g, conj = next((g, conj) for g in group.generators
+                   if (conj := conjugate(g, ng, inverse(g)).tolist())
+                   not in ([0, 1, 2, 3], [1, 0, 2, 3]))
+    with pytest.raises(ValueError, match=re.escape(
+            f"conjugate {conj} of its generator {ng.tolist()} "
+            f"by {g.tolist()} lies outside it")):
+        quotient_group(group, [ng])
 
 
 @pytest.mark.parametrize("group_gens, normal_gens", [
