@@ -43,9 +43,10 @@ constant is a cyclotomic integer beta whose conjugates are all at most S
 (the coefficient mass plus |G|) in absolute value; if it vanishes mod Q at
 every embedding zeta -> z^k, it lies in Q Z[zeta], so once the product of
 the primes exceeds S its norm forces beta = 0.  Each distinct value is
-evaluated at z and z^-1 only, once per prime: once every generator of the
-units mod e is seen to permute the rows, the Galois action carries the check
-to every primitive e-th root.
+evaluated at z only, once per prime, its conjugate read at the inverse class;
+once every generator of the units mod e permutes the rows, the Galois action
+carries the check to every primitive e-th root.  One row Gram, `_gram`, gives
+the degrees and both relations: in a square table, rows imply columns.
 
 Every question "fixed by the subgroup {k = 1 mod m} of the units mod e" is
 read off a table over the units by masking its columns.  On the character
@@ -191,12 +192,10 @@ def _fixed_mod(fixed: np.ndarray, units: np.ndarray, m: int) -> np.ndarray:
     return fixed[:, units % m == 1 % m].all(axis=1)
 
 
-def _evaluations(values, e: int, q: int, ks: np.ndarray) -> np.ndarray:
-    """[v, i]: values[v] at zeta -> z^ks[i] mod q, z as in `_root_powers`."""
-    z = _root_powers(q, e)
+def _evaluations(values, e: int, q: int) -> np.ndarray:
+    """values[v] at zeta -> z mod q, z as in `_root_powers`."""
     _, s, m, bounds = _support_entries(values)
-    terms = z[s[:, None] * ks[None, :] % e] * m[:, None] % q
-    return _segment_sums(terms, bounds) % q
+    return _segment_sums(_root_powers(q, e)[s] * m % q, bounds) % q
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +432,13 @@ class CharacterTable:
         return units, np.stack([fixed[ids].all(axis=0) for ids in value_id])
 
 
+def _gram(X: np.ndarray, table: ClassTable, m: int) -> np.ndarray:
+    """The row Gram sum_j |C_j| X[a, j] conj(X[b, j]) mod m, each conjugate
+    read at the inverse class (exact by `ClassTable.power`'s closure check)."""
+    sizes = np.array(table.sizes, dtype=np.int64)
+    return (X * sizes % m) @ X[:, [pw[-1] for pw in table.power]].T % m
+
+
 def _lift(mod_values: np.ndarray, degrees, power, e: int, P: int):
     """Exact values from mod-P character values, one discrete Fourier
     transform per class: on a class of order o (step = e/o), the
@@ -516,20 +522,15 @@ def _mod_table(table: ClassTable, P: int) -> np.ndarray:
         if not np.array_equal(M @ W % P, W[i] * W[rows] % P):
             raise ConsistencyError(f"eigenvectors fail class matrix {i} "
                                    "at its computed rows")
-    inv_class = [int(pw[-1]) for pw in table.power]
-    size_inv = np.array([pow(int(s), -1, P) for s in table.sizes],
-                        dtype=np.int64)
-    group_divisors = divisors(n)
-    rows_mod = []
-    for w in W.T:
-        s = int(np.sum(w * w[inv_class] % P * size_inv % P) % P)
-        d_sq = n * pow(s, -1, P) % P
-        d = next((x for x in group_divisors
-                  if x * x <= n and x * x % P == d_sq), None)
-        if d is None:
-            raise ConsistencyError("no degree matches the eigenvector")
-        rows_mod.append(d * w % P * size_inv % P)
-    return np.stack(rows_mod)
+    # w / |C| is chi / d: Gram diagonal n / d^2, one d since P > 2 sqrt(n)
+    X = W.T * np.array([pow(s, -1, P) for s in table.sizes],
+                       dtype=np.int64) % P
+    squares = {x * x % P: x for x in divisors(n) if x * x <= n}
+    degrees = [squares.get(n * pow(s, -1, P) % P) if s else None
+               for s in np.diagonal(_gram(X, table, P)).tolist()]
+    if None in degrees:
+        raise ConsistencyError("no degree matches the eigenvector")
+    return np.array(degrees, dtype=np.int64)[:, None] * X % P
 
 
 def _from_mod_values(table: ClassTable, mod_values: np.ndarray,
@@ -544,17 +545,14 @@ def _from_mod_values(table: ClassTable, mod_values: np.ndarray,
     degrees = mod_values[:, 0].tolist()
     if sum(d * d for d in degrees) != n:
         raise ConsistencyError("degree squares do not sum to the group order")
-    power = table.power
-    conj = mod_values[:, [int(pw[-1]) for pw in power]]
-    sizes = np.array(table.sizes, dtype=np.int64)
-    gram = (mod_values * sizes % P) @ conj.T % P
+    gram = _gram(mod_values, table, P)
     if not np.array_equal(gram, n % P * np.eye(len(degrees), dtype=np.int64)):
         raise ConsistencyError("mod-P row orthogonality failed")
 
     # --- exact lift, canonical ordering by (degree, lexicographic values) --
     # rows compare as their tuples of value ids, which are the values'
     # ranks by dense key; the sorted table's ids are these rows, sorted
-    values = _lift(mod_values, degrees, power, e, P)
+    values = _lift(mod_values, degrees, table.power, e, P)
     distinct, value_id = _intern(values)
     ranks = value_id.tolist()
     order = sorted(range(len(degrees)), key=lambda r: (degrees[r], ranks[r]))
@@ -580,17 +578,18 @@ def _verify_exact_orthogonality(ct: CharacterTable):
     a nonzero beta would then have |N(beta)| >= (prod Q_i)^phi(e), against
     |N(beta)| <= S^phi(e).  So prod Q_i > S forces beta = 0.
 
-    Only zeta -> z^(+-1) is evaluated; the Galois action gives the other
-    embeddings.  The values are the lift of mod_values, since
-    `_from_mod_values` computes them from it, whether the table was built or
-    loaded.  So sigma_k(chi) is chi read along g -> g^k, the lift of that
-    mod-P row.  If each generator k of the units mod e maps the rows of
-    mod_values onto the rows, every sigma_k therefore permutes the
-    characters: the row Gram matrix at z^k is the one at z with its rows
-    and columns permuted, and the column Gram matrix is the one at z."""
+    Only zeta -> z is evaluated; the Galois action gives the other embeddings.
+    The values are the lift of mod_values, since `_from_mod_values` computes
+    them from it, whether the table was built or loaded.  So sigma_k(chi) is
+    chi read along g -> g^k, the lift of that mod-P row; for k = -1, chi at the
+    inverse classes, where `_gram` reads it.  If each generator k of the units
+    mod e maps the rows of mod_values onto the rows, every sigma_k therefore
+    permutes the characters, and the row Gram matrix at z^k is the one at z
+    with its rows and columns permuted.  For the square X over GF(Q),
+    X D (X I')^T = n I, with D = diag(|C_j|) and I' the involution
+    j -> j^-1, gives the column relations X^T (X I') = n D^-1."""
     e = ct.exponent
     n = ct.table.group.order
-    sizes = np.array(ct.table.sizes, dtype=np.int64)
     rows = sorted(map(tuple, ct.mod_values.tolist()))
     for k in _unit_generators(e):
         mapped = ct.mod_values[:, power_class_map(ct.table, k)]
@@ -599,23 +598,15 @@ def _verify_exact_orthogonality(ct: CharacterTable):
                                    "does not permute the rows")
     max_d = max(ct.degrees)
     # coefficient mass of any inner product; the constant adds at most n
-    mass_row = int(np.sum(sizes)) * max_d * max_d
+    mass_row = sum(ct.table.sizes) * max_d * max_d
     mass_col = sum(d * d for d in ct.degrees)
     distinct, value_id = ct._interned
     eye = np.eye(len(ct.degrees), dtype=np.int64)
     for Q in _aux_primes(e, max(mass_row, mass_col) + n):
         _check_int64(Q, len(ct.degrees))
-        # the value matrices at zeta -> zq and zeta -> zq^-1, each distinct
-        # value evaluated once; [embedding][character][class]
-        A = _evaluations(distinct, e, Q, np.array([1, e - 1])).T[:, value_id]
-        B = A[::-1]
-        size_inv = np.array([pow(int(s), -1, Q) for s in sizes], dtype=np.int64)
-        gram_row = (A * sizes % Q) @ B.transpose(0, 2, 1) % Q
-        if not (gram_row == (n % Q) * eye).all():
+        X = _evaluations(distinct, e, Q)[value_id]
+        if not (_gram(X, ct.table, Q) == (n % Q) * eye).all():
             raise ConsistencyError("exact row orthogonality failed")
-        gram_col = A.transpose(0, 2, 1) @ B % Q
-        if not (gram_col == (n % Q) * size_inv % Q * eye).all():
-            raise ConsistencyError("exact column orthogonality failed")
 
 
 # ---------------------------------------------------------------------------

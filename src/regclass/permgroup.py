@@ -553,7 +553,8 @@ class ClassTable:
     @cached_property
     def power(self) -> list[np.ndarray]:
         """power[j][u] = class of rep_j^u for u below the order of class j,
-        from one batched lookup of all the stacked powers."""
+        from one batched lookup of all the stacked powers; i = power[j][-1]
+        must have |C_i| = |C_j| and power[i][u] = power[j][-u mod o]."""
         rows = []
         for c in self.classes:
             g = identity_perm(self.group.degree)
@@ -564,6 +565,12 @@ class ClassTable:
                          np.cumsum(self.orders)[:-1])
         if any(pw[0] != 0 or pw[1 % len(pw)] != j for j, pw in enumerate(power)):
             raise ConsistencyError("power table disagrees with the class list")
+        for j, pw in enumerate(power):
+            i = pw[-1]
+            if (self.classes[i].size != self.classes[j].size or not
+                    np.array_equal(power[i], pw[-np.arange(len(pw)) % len(pw)])):
+                raise ConsistencyError(
+                    f"power table is not closed under inversion at class {j}")
         return power
 
     def classes_of(self, perms) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Permutation engine: arithmetic, stabilizer chains, conjugacy classes."""
 
+import dataclasses
 import itertools
 from collections import deque
 from functools import lru_cache
@@ -19,8 +20,8 @@ from regclass.harness import quotient_pairs
 from regclass.numtheory import factorize, p_part
 from regclass import permgroup
 from regclass.chartab import galois_fixed_classes
-from regclass.permgroup import (CLASS_CAP, DEGREE_CAP, ConsistencyError,
-                                PermGroup,
+from regclass.permgroup import (CLASS_CAP, DEGREE_CAP, ClassTable,
+                                ConsistencyError, PermGroup,
                                 ResourceLimitError, StabilizerChain, as_perm,
                                 burnside_class_count, class_counts,
                                 compose, conjugacy_classes, conjugate,
@@ -617,6 +618,37 @@ def test_power_class_map_properties(keyed_table):
         kinv = pow(k, -1, e)
         minv = power_class_map(table, kinv)
         assert [minv[i] for i in m] == list(range(len(table)))
+
+
+def test_power_table_must_be_closed_under_inversion():
+    """The lift reads a conjugate at the class of the inverse, so
+    `ClassTable.power` refuses a table in which i = power[j][-1] has another
+    size than class j or power[i] is not power[j] read backwards.  On alt(5)
+    rep_a^-1 lies in a's own class; labelling that one element with the
+    other class b of 5-cycles sends power[a][-1] to b, whose power map is
+    not a's reversed.  On psl2(7) the two classes of order 7 are each
+    other's inverses; changing the size of the second one breaks the
+    first."""
+    group, _ = entry_by_key("alt(5)").build()
+    table = conjugacy_classes(group)
+    a, b = [j for j, c in enumerate(table.classes) if c.order == 5]
+    assert table.power[a][-1] == a
+    class_id = table.class_id.copy()
+    class_id[group.chain.index.sift(inverse(table.classes[a].rep)[None])] = b
+    tampered = ClassTable(group, table.classes, class_id)
+    with pytest.raises(ConsistencyError,
+                       match=f"not closed under inversion at class {a}$"):
+        tampered.power
+
+    group, _ = entry_by_key("psl2(7)").build()
+    table = conjugacy_classes(group)
+    i, j = [k for k, c in enumerate(table.classes) if c.order == 7]
+    assert (table.power[i][-1], table.power[j][-1]) == (j, i)
+    classes = list(table.classes)
+    classes[j] = dataclasses.replace(classes[j], size=classes[j].size + 1)
+    with pytest.raises(ConsistencyError,
+                       match=f"not closed under inversion at class {i}$"):
+        ClassTable(group, classes, table.class_id).power
 
 
 def test_galois_fixed_class_count_brute(keyed_table):
