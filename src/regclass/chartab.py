@@ -49,15 +49,15 @@ carries the check to every primitive e-th root.  One row Gram, `_gram`, gives
 the degrees and both relations: in a square table, rows imply columns.
 
 Every question "fixed by the subgroup {k = 1 mod m} of the units mod e" is
-read off a table over the units by masking its columns.  On the character
-side (rational, p-rational, p'-rational, Q_p-valued characters) it is
-fixed[value, unit] over the distinct values of the table: sigma_k sends the
-entry (s, m_s) of a value v to (s*k mod e, m_s); k is a unit, so this maps
-the support injectively onto a set of the same size, and v is fixed iff
-v[s*k mod e] = m_s for every entry of v.  It is filled by gathers from
-the dense multiplicity vectors of the values.  On the class side it is
-fixed[class, unit], read from the power table, and the Brauer cross-check
-compares the two.
+read off a table over the units by masking its columns, and there is one
+Galois action: sigma_k(chi)(g) = chi(g^k).  For a unit k, pi_k sends class j
+to the class of rep_j^k, power[j][k mod o_j] in the power table.  sigma_k
+fixes chi iff chi's row mod P read along pi_k is that row: the lift reads a
+row mod P only along the power maps, so equal rows mod P lift to equal exact
+rows.  g -> g^k fixes class j iff pi_k[j] = j.  The units act through far
+fewer distinct permutations than there are units, and each distinct pi_k is
+read once, for the characters (rational, p-rational, p'-rational, Q_p-valued)
+and the classes alike; the Brauer cross-check compares the two sides.
 """
 
 from dataclasses import dataclass
@@ -139,53 +139,6 @@ def _intern(values) -> tuple[list[CycValue], np.ndarray]:
     return [found[v] for v in by_key], rank[value_id]
 
 
-def _support_entries(values):
-    """All support entries of the values as arrays (value index, s, m_s),
-    ordered by value, then s; entries bounds[v]:bounds[v+1] are those of
-    values[v]."""
-    lengths = [len(v.support) for v in values]
-    bounds = np.zeros(len(values) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=bounds[1:])
-    vid = np.repeat(np.arange(len(values), dtype=np.int64), lengths)
-    s = np.array([s for v in values for s in v.support], dtype=np.int64)
-    m = np.array([m for v in values for m in v.mults], dtype=np.int64)
-    return vid, s, m, bounds
-
-
-def _segment_sums(x: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """Sums of the row blocks x[bounds[v]:bounds[v+1]] (empty blocks give 0)."""
-    acc = np.zeros((len(x) + 1,) + x.shape[1:], dtype=np.int64)
-    np.cumsum(x, axis=0, out=acc[1:])
-    return acc[bounds[1:]] - acc[bounds[:-1]]
-
-
-def galois_fixed_table(values, e: int) -> tuple[np.ndarray, np.ndarray]:
-    """The units k mod e (see `_units`) and fixed[v, u]: sigma_{units[u]}
-    fixes values[v].
-
-    sigma_k maps the entry (s, m_s) to (s*k mod e, m_s); k permutes Z/e, so
-    the support goes injectively onto a set of the same size, and v is fixed
-    iff v[s*k mod e] = m_s for every entry of v, read from the dense
-    multiplicity vectors of the values by one gather per chunk of units."""
-    units = _units(e)
-    vid, s, m, bounds = _support_entries(values)
-    dense = np.zeros(len(values) * e, dtype=np.min_scalar_type(m.max(initial=0)))
-    dense[vid * e + s] = m
-    fixed = np.empty((len(values), len(units)), dtype=bool)
-    step = max(1, CHUNK // max(len(s), 1))
-    for lo in range(0, len(units), step):
-        k = units[lo:lo + step]
-        miss = dense[vid[:, None] * e + s[:, None] * k[None, :] % e] != m[:, None]
-        fixed[:, lo:lo + step] = _segment_sums(miss, bounds) == 0
-    return units, fixed
-
-
-def galois_fixed_classes(power, units: np.ndarray) -> np.ndarray:
-    """fixed[j, u]: g -> g^units[u] fixes class j, read off the power table
-    as power[j][units[u] mod o_j] == j."""
-    return np.stack([pw[units % len(pw)] == j for j, pw in enumerate(power)])
-
-
 def _fixed_mod(fixed: np.ndarray, units: np.ndarray, m: int) -> np.ndarray:
     """Per row of fixed[row, u]: fixed by every unit k = 1 (mod m), the
     columns of that subgroup of the units."""
@@ -193,9 +146,16 @@ def _fixed_mod(fixed: np.ndarray, units: np.ndarray, m: int) -> np.ndarray:
 
 
 def _evaluations(values, e: int, q: int) -> np.ndarray:
-    """values[v] at zeta -> z mod q, z as in `_root_powers`."""
-    _, s, m, bounds = _support_entries(values)
-    return _segment_sums(_root_powers(q, e)[s] * m % q, bounds) % q
+    """values[v] at zeta -> z mod q, z as in `_root_powers`: the sum of
+    m_s z^s over the support entries (s, m_s) of each value, as differences
+    of one cumulative sum taken at the bounds between values."""
+    s = np.array([s for v in values for s in v.support], dtype=np.int64)
+    m = np.array([m for v in values for m in v.mults], dtype=np.int64)
+    bounds = np.zeros(len(values) + 1, dtype=np.int64)
+    np.cumsum([len(v.support) for v in values], out=bounds[1:])
+    acc = np.zeros(len(s) + 1, dtype=np.int64)
+    np.cumsum(_root_powers(q, e)[s] * m % q, out=acc[1:])
+    return (acc[bounds[1:]] - acc[bounds[:-1]]) % q
 
 
 # ---------------------------------------------------------------------------
@@ -424,12 +384,24 @@ class CharacterTable:
         return _intern(self.values)
 
     @cached_property
-    def _galois(self) -> tuple[np.ndarray, np.ndarray]:
-        """The units k mod e and rows_fixed[character, unit]: sigma_k fixes
-        every value of the character."""
-        distinct, value_id = self._interned
-        units, fixed = galois_fixed_table(distinct, self.exponent)
-        return units, np.stack([fixed[ids].all(axis=0) for ids in value_id])
+    def _galois(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The units k mod e (see `_units`), rows_fixed[character, unit] and
+        classes_fixed[class, unit], both read along pi_k, the class
+        permutation j -> power[j][k mod o_j] of g -> g^k: sigma_k fixes a
+        character iff its row mod P read along pi_k is that row, and g -> g^k
+        fixes class j iff pi_k[j] = j.  Each distinct pi_k is read once."""
+        units = _units(self.exponent)
+        maps = np.stack([pw[units % len(pw)] for pw in self.table.power], axis=1)
+        # distinct by a dict: np.unique imports numpy.ma on its first call
+        ids: dict[bytes, int] = {}
+        which = np.array([ids.setdefault(pi.tobytes(), len(ids)) for pi in maps],
+                         dtype=np.intp)
+        perms = np.empty((len(ids), maps.shape[1]), dtype=maps.dtype)
+        perms[which] = maps
+        X = self.mod_values
+        rows_fixed = np.stack([(X[:, pi] == X).all(axis=1) for pi in perms], axis=1)
+        classes_fixed = (perms == np.arange(len(X))).T
+        return units, rows_fixed[:, which], classes_fixed[:, which]
 
 
 def _gram(X: np.ndarray, table: ClassTable, m: int) -> np.ndarray:
@@ -560,6 +532,8 @@ def _from_mod_values(table: ClassTable, mod_values: np.ndarray,
                             values=tuple(values[i] for i in order),
                             exponent=e, modular_prime=P,
                             mod_values=mod_values[order])
+    # read-only, since the cached `_galois` reads it
+    result.mod_values.flags.writeable = False
     vars(result)["_interned"] = (distinct, value_id[order])
     _verify_exact_orthogonality(result)
     return result
@@ -626,7 +600,7 @@ def classify_rationality(ct: CharacterTable, p: int) -> list[RationalityFlags]:
     k mod e with k = 1 mod 1, e_p', e_p and gcd(e, p) respectively."""
     e = ct.exponent
     e_p = p_part(e, p)
-    units, rows_fixed = ct._galois
+    units, rows_fixed, _ = ct._galois
     flags = []
     columns = zip(*(_fixed_mod(rows_fixed, units, m).tolist()
                     for m in (1, e // e_p, e_p, gcd(e, p))))
@@ -672,14 +646,14 @@ def character_count_report(ct: CharacterTable, p: int) -> CharacterCounts:
 
 def brauer_cross_check(ct: CharacterTable) -> None:
     """For every Galois element sigma_k: the number of fixed characters must
-    equal the number of classes fixed by g -> g^k, read from the power table
-    ct was built from; for odd p dividing |G|, the characters fixed by
-    {k = 1 mod e_p'} (the p-rational ones) must be as many as the classes it
-    fixes and at least k_{p'}.  That subgroup is cyclic for odd p only (by
+    equal the number of classes fixed by g -> g^k, both read along the power
+    table ct was built from.  For each prime p dividing |G|, the characters
+    fixed by H_p = {k = 1 mod e_p'} (the p-rational ones) must be as many as
+    the classes H_p fixes and at least k_{p'}, wherever H_p, which is
+    (Z/e_p)^*, is cyclic: for odd p, and for p = 2 when e_2 <= 4 (by
     Brauer's permutation lemma both counts are then those of a generator).
     Any mismatch is a hard engine failure."""
-    units, rows_fixed = ct._galois
-    classes_fixed = galois_fixed_classes(ct.table.power, units)
+    units, rows_fixed, classes_fixed = ct._galois
     chars_count = rows_fixed.sum(axis=0)
     classes_count = classes_fixed.sum(axis=0)
     bad = np.flatnonzero(chars_count != classes_count)
@@ -690,11 +664,11 @@ def brauer_cross_check(ct: CharacterTable) -> None:
             f"vs {classes_count[u]} classes")
     e = ct.exponent
     for p in factorize(ct.table.group.order).primes():
-        if p == 2 or e % p:
+        e_p = p_part(e, p)
+        if p == 2 and e_p > 4:
             continue
-        e_pp = e // p_part(e, p)
-        table_count = int(_fixed_mod(rows_fixed, units, e_pp).sum())
-        class_count = int(_fixed_mod(classes_fixed, units, e_pp).sum())
+        table_count = int(_fixed_mod(rows_fixed, units, e // e_p).sum())
+        class_count = int(_fixed_mod(classes_fixed, units, e // e_p).sum())
         if table_count != class_count:
             raise ConsistencyError(
                 f"p-rational count mismatch at p={p}: table {table_count} "
@@ -765,6 +739,6 @@ __all__ = [
     "CycValue", "CharacterTable", "RationalityFlags", "CharacterCounts",
     "MAX_CLASSES", "MAX_ORDER", "dixon_prime", "class_matrix",
     "character_table", "classify_rationality", "character_count_report",
-    "galois_fixed_table", "galois_fixed_classes", "rref_mod",
-    "brauer_cross_check", "save_character_table", "load_character_table",
+    "rref_mod", "brauer_cross_check", "save_character_table",
+    "load_character_table",
 ]

@@ -21,8 +21,7 @@ from regclass.chartab import (CHUNK, CycValue, RationalityFlags,
                               _verify_exact_orthogonality, brauer_cross_check,
                               character_count_report, character_table,
                               class_matrix, classify_rationality, dixon_prime,
-                              galois_fixed_table, load_character_table,
-                              save_character_table)
+                              load_character_table, save_character_table)
 from regclass.numtheory import (EQUAL, GREATER, cyclotomic_coeffs, divisors,
                                 factorize, p_part, primitive_root)
 from regclass.permgroup import (ClassTable, ConsistencyError, PermGroup,
@@ -420,53 +419,22 @@ def test_lift_and_galois_table_match_scalar_references(key):
     _verify_exact_orthogonality(ct)
     _reference_exact_orthogonality(ct, sizes, group.order)
     e = ct.exponent
-    # the lift at the inverse class is the complex conjugate, which `_gram`
-    # reads in place of an evaluation at zeta -> z^-1
-    inv = [int(pw[-1]) for pw in table.power]
-    assert all(row[inv[j]] == v.galois(e - 1)
-               for row in ct.values for j, v in enumerate(row))
+    # sigma_k of the lift is the lift read along g -> g^k: for k = -1 the
+    # complex conjugate at the inverse class, which `_gram` reads in place of
+    # an evaluation at zeta -> z^-1, and for each generator of the units
+    for k in [e - 1] + _unit_generators(e):
+        at = power_class_map(table, k)
+        assert all(row[at[j]] == v.galois(k)
+                   for row in ct.values for j, v in enumerate(row))
     units = [k for k in range(e) if gcd(k, e) == 1]  # [0] when e = 1
     reference = _reference_fixed(ct, units)
-    assert ct._galois[0].tolist() == units
-    assert ct._galois[1].T.tolist() == list(reference.values())
+    units_read, rows_fixed, classes_fixed = ct._galois
+    assert units_read.tolist() == units
+    assert rows_fixed.T.tolist() == list(reference.values())
+    assert classes_fixed.T.tolist() == [
+        [i == j for j, i in enumerate(power_class_map(table, k))] for k in units]
     for p in factorize(group.order).primes():
         assert classify_rationality(ct, p) == _reference_flags(ct, p, reference)
-
-
-@st.composite
-def _cyc_values(draw):
-    """Random values mod a random exponent, some summed over the orbit of a
-    unit so that they are fixed by it."""
-    e = draw(st.integers(1, 60))
-    units = [k for k in range(e) if gcd(k, e) == 1]
-    values = []
-    for _ in range(draw(st.integers(1, 6))):
-        cells = draw(st.dictionaries(st.integers(0, e - 1), st.integers(1, 3),
-                                     max_size=6))
-        if draw(st.booleans()):
-            h = draw(st.sampled_from(units))
-            orbit = {}
-            for s, m in cells.items():
-                t = s
-                while True:
-                    orbit[t] = orbit.get(t, 0) + m
-                    t = t * h % e
-                    if t == s:
-                        break
-            cells = orbit
-        support = tuple(sorted(cells))
-        values.append(CycValue(e, support, tuple(cells[s] for s in support)))
-    return e, values
-
-
-@settings(max_examples=300, deadline=None)
-@given(_cyc_values())
-def test_galois_fixed_table_matches_galois(case):
-    e, values = case
-    units, fixed = galois_fixed_table(values, e)
-    assert units.tolist() == [k for k in range(e) if gcd(k, e) == 1]
-    expected = [[v.galois(int(k)) == v for k in units] for v in values]
-    assert fixed.tolist() == expected
 
 
 def test_unit_generators_generate_the_units():
@@ -570,16 +538,18 @@ def test_exact_orthogonality_rejects_rows_not_closed_under_galois(tables):
 
 
 def test_character_values_cannot_be_edited_in_place(tables):
-    """The Galois table is cached on first use, so the values it was read
-    from are immutable: an in-place cell edit raises instead of leaving the
-    cache stale."""
+    """The Galois table is cached on first use, so the values and the values
+    mod P it was read from are immutable: an in-place cell edit raises
+    instead of leaving the cache stale."""
     _, _, ct = tables("alt(5)")
-    counts = ct._galois[1].sum(axis=0).tolist()
+    galois = [a.tolist() for a in ct._galois]
     with pytest.raises(TypeError):
         ct.values[1][1] = ct.values[1][1].galois(7)
+    with pytest.raises(ValueError):
+        ct.mod_values[0, 0] = 1
     with pytest.raises(dataclasses.FrozenInstanceError):
         ct.values = ()
-    assert ct._galois[1].sum(axis=0).tolist() == counts
+    assert [a.tolist() for a in ct._galois] == galois
 
 
 def test_brauer_cross_check_rejects_a_wrong_power_map(tables):
@@ -593,6 +563,25 @@ def test_brauer_cross_check_rejects_a_wrong_power_map(tables):
     tampered.power[j] = np.full(7, j)
     tampered.power[j][0] = 0
     with pytest.raises(ConsistencyError, match="Brauer count mismatch at k=5"):
+        brauer_cross_check(dataclasses.replace(ct, table=tampered))
+
+
+def test_brauer_cross_check_counts_2_rational_characters(tables):
+    """alt(4) has e = 6, so e_2 = 2 and the check runs at p = 2, where the
+    2-rational characters are those fixed by {k = 1 mod 3} = {1}.  A power
+    table in which g -> g^k swaps the two classes of order 3 at every unit
+    k, 1 included, passes every per-unit count (2 characters and 2 classes
+    fixed, both read along that swap) and the counts at p = 3 (k_3' = 2),
+    but its 2 classes fixed by {1} are fewer than the k_2' = 3 classes of
+    odd order."""
+    _, table, ct = tables("alt(4)")
+    brauer_cross_check(ct)
+    a, b = [j for j, c in enumerate(table.classes) if c.order == 3]
+    tampered = copy.copy(table)
+    tampered.power = list(table.power)
+    tampered.power[a] = np.array([0, b, b])
+    tampered.power[b] = np.array([0, a, a])
+    with pytest.raises(ConsistencyError, match="below k_p' at p=2$"):
         brauer_cross_check(dataclasses.replace(ct, table=tampered))
 
 

@@ -19,7 +19,6 @@ from regclass.catalog import (default_catalog, entry_by_key, family_order,
 from regclass.harness import quotient_pairs
 from regclass.numtheory import factorize, p_part
 from regclass import permgroup
-from regclass.chartab import galois_fixed_classes
 from regclass.permgroup import (CLASS_CAP, DEGREE_CAP, ClassTable,
                                 ConsistencyError, PermGroup,
                                 ResourceLimitError, StabilizerChain, as_perm,
@@ -652,21 +651,14 @@ def test_power_table_must_be_closed_under_inversion():
 
 
 def test_galois_fixed_class_count_brute(keyed_table):
-    """The class-side table fixed[class, unit] of the power table, and its
-    columns masked to {k = 1 mod e_p'}, against the classes of the powers of
-    the representatives, for every prime p (2 included)."""
-    _, group, table = keyed_table
+    """The class permutation of g -> g^k read off the power table
+    (`power_class_map`), and so the classes it fixes, against the classes of
+    the k-th powers of the representatives, at every unit k mod e."""
+    _, _, table = keyed_table
     e = table.exponent
-    units = np.array([k for k in range(e) if gcd(k, e) == 1], dtype=np.int64)
-    brute = np.array([[table.classes_of(perm_power(c.rep, int(k))[None])[0] == i
-                       for k in units] for i, c in enumerate(table.classes)])
-    fixed = galois_fixed_classes(table.power, units)
-    assert (fixed == brute).all()
-    for p in factorize(group.order).primes():
-        e_pp = e // p_part(e, p)
-        # oracle: classes fixed by every unit k = 1 mod the p'-part
-        oracle = sum(all(row[units % e_pp == 1 % e_pp]) for row in brute)
-        assert fixed[:, units % e_pp == 1 % e_pp].all(axis=1).sum() == oracle
+    for k in (k for k in range(e) if gcd(k, e) == 1):
+        powers = np.stack([perm_power(c.rep, k) for c in table.classes])
+        assert power_class_map(table, k) == table.classes_of(powers).tolist()
 
 
 # ---------------------------------------------------------------------------
