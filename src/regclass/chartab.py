@@ -5,9 +5,10 @@ a deterministic prime P = 1 (mod exponent), P > 2*sqrt(|G|): each step
 splits a subspace into the eigenspaces of one class matrix, whose dimensions
 must sum to its dimension, with one Gauss-Jordan elimination (`rref_mod`,
 the package's only one) for both the coordinates and the kernels.
-Eigenvector rows are lifted to exact cyclotomic integers (multiplicity
-vectors over e-th roots of unity) by the discrete Fourier lift over power
-maps.
+Eigenvector rows are lifted exactly by the discrete Fourier lift over power
+maps: on class j of order o_j, each character value is the sum of m_s
+zeta^(s*e/o_j), zeta a primitive e-th root of unity, and the table keeps one
+K x o_j array of the multiplicities m_s per class.
 
 As in Schneider's refinement ("Dixon's character table algorithm
 revisited", J. Symbolic Comput. 9, 1990), a class matrix is computed only
@@ -31,7 +32,9 @@ every class representative, stacked and classified by one batched class
 lookup.  For a class of order o, the K x o slice of mod-P values along its
 power map times the o x o matrix of roots z^(-(e/o)*s*u) is the matrix of
 eigenvalue multiplicities of all characters on that class; one matrix
-product mod P per class replaces a scalar loop over (character, s, u).
+product mod P per class replaces a scalar loop over (character, s, u).  The
+rows are sorted by degree, then by those arrays class by class, which orders
+each value as its dense length-e multiplicity vector.
 
 A table is finished in one place, `_from_mod_values`, from its values mod P:
 a fresh build gets them from the eigenvectors, a cache load reads them from
@@ -42,8 +45,9 @@ and meet the int64 bound of `_check_int64`.  An inner product minus its
 constant is a cyclotomic integer beta whose conjugates are all at most S
 (the coefficient mass plus |G|) in absolute value; if it vanishes mod Q at
 every embedding zeta -> z^k, it lies in Q Z[zeta], so once the product of
-the primes exceeds S its norm forces beta = 0.  Each distinct value is
-evaluated at z only, once per prime, its conjugate read at the inverse class;
+the primes exceeds S its norm forces beta = 0.  The table is evaluated at
+z only, by one product per class and prime (the class's multiplicity array
+times the powers of z it sums), each conjugate read at the inverse class;
 once every generator of the units mod e permutes the rows, the Galois action
 carries the check to every primitive e-th root.  One row Gram, `_gram`, gives
 the degrees and both relations: in a square table, rows imply columns.
@@ -98,13 +102,6 @@ class CycValue:
         return CycValue(self.e, tuple(s for s, _ in pairs),
                         tuple(m for _, m in pairs))
 
-    def dense_key(self) -> tuple:
-        """Sort key ordering values as their dense length-e multiplicity
-        vectors, lexicographically: where two supports first differ, the
-        value holding the smaller index s has the larger dense vector, and
-        (-s, m_s) sorts it last."""
-        return tuple((-s, m) for s, m in zip(self.support, self.mults))
-
 
 def _units(e: int) -> np.ndarray:
     """The residues mod e coprime to e, ascending (just 0 when e = 1)."""
@@ -125,37 +122,10 @@ def _unit_generators(e: int) -> list[int]:
     return [g for g in gens if g != 1 % e]
 
 
-def _intern(values) -> tuple[list[CycValue], np.ndarray]:
-    """The distinct values of a table in `dense_key` order, and the matrix
-    of their indices; permuting the rows of the table permutes the rows of
-    the matrix."""
-    ids: dict[CycValue, int] = {}
-    value_id = np.array([[ids.setdefault(v, len(ids)) for v in row]
-                         for row in values], dtype=np.int64)
-    found = list(ids)
-    by_key = sorted(range(len(found)), key=lambda v: found[v].dense_key())
-    rank = np.empty(len(found), dtype=np.int64)
-    rank[by_key] = np.arange(len(found))
-    return [found[v] for v in by_key], rank[value_id]
-
-
 def _fixed_mod(fixed: np.ndarray, units: np.ndarray, m: int) -> np.ndarray:
     """Per row of fixed[row, u]: fixed by every unit k = 1 (mod m), the
     columns of that subgroup of the units."""
     return fixed[:, units % m == 1 % m].all(axis=1)
-
-
-def _evaluations(values, e: int, q: int) -> np.ndarray:
-    """values[v] at zeta -> z mod q, z as in `_root_powers`: the sum of
-    m_s z^s over the support entries (s, m_s) of each value, as differences
-    of one cumulative sum taken at the bounds between values."""
-    s = np.array([s for v in values for s in v.support], dtype=np.int64)
-    m = np.array([m for v in values for m in v.mults], dtype=np.int64)
-    bounds = np.zeros(len(values) + 1, dtype=np.int64)
-    np.cumsum([len(v.support) for v in values], out=bounds[1:])
-    acc = np.zeros(len(s) + 1, dtype=np.int64)
-    np.cumsum(_root_powers(q, e)[s] * m % q, out=acc[1:])
-    return (acc[bounds[1:]] - acc[bounds[:-1]]) % q
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +339,8 @@ def _eigen_split(B: np.ndarray, pivots: np.ndarray, rows: np.ndarray,
 class CharacterTable:
     table: ClassTable
     degrees: list[int]
-    values: tuple[tuple[CycValue, ...], ...]  # [character][class]
+    # [class][character, s]: the multiplicity of zeta^(s*e/o_j) in chi(g_j)
+    mults: tuple[np.ndarray, ...]
     exponent: int
     modular_prime: int
     mod_values: np.ndarray  # [character][class] mod P
@@ -378,10 +349,19 @@ class CharacterTable:
         return len(self.degrees)
 
     @cached_property
-    def _interned(self) -> tuple[list[CycValue], np.ndarray]:
-        """`_intern(self.values)`: the distinct values and their indices
-        (`_from_mod_values` seeds it with the ids it sorted the rows by)."""
-        return _intern(self.values)
+    def values(self) -> tuple[tuple[CycValue, ...], ...]:
+        """[character][class]: `mults` as exact cyclotomic integers, built on
+        first read, one nonzero scan per class split by character."""
+        e = self.exponent
+        values: list[list[CycValue]] = [[] for _ in self.degrees]
+        for m in self.mults:
+            at, s = np.nonzero(m)
+            support = (e // m.shape[1] * s).tolist()
+            counts = m[at, s].tolist()
+            bounds = np.searchsorted(at, np.arange(len(values) + 1)).tolist()
+            for row, lo, hi in zip(values, bounds, bounds[1:]):
+                row.append(CycValue(e, tuple(support[lo:hi]), tuple(counts[lo:hi])))
+        return tuple(map(tuple, values))
 
     @cached_property
     def _galois(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -411,14 +391,16 @@ def _gram(X: np.ndarray, table: ClassTable, m: int) -> np.ndarray:
     return (X * sizes % m) @ X[:, [pw[-1] for pw in table.power]].T % m
 
 
-def _lift(mod_values: np.ndarray, degrees, power, e: int, P: int):
+def _lift(mod_values: np.ndarray, degrees, power, e: int,
+          P: int) -> list[np.ndarray]:
     """Exact values from mod-P character values, one discrete Fourier
     transform per class: on a class of order o (step = e/o), the
     multiplicity of zeta^(step*s) in chi(g) is (1/o) sum_u chi(g^u)
-    z^(-step*s*u) mod P, for all characters at once."""
+    z^(-step*s*u) mod P, for all characters at once.  The K x o matrix of
+    class j is entry j of the result."""
     z_pows = _root_powers(P, e)
     degs = np.array(degrees, dtype=np.int64)
-    values: list[list[CycValue]] = [[] for _ in degrees]
+    lifted = []
     for j, pw in enumerate(power):
         o = len(pw)
         step = e // o
@@ -431,14 +413,8 @@ def _lift(mod_values: np.ndarray, degrees, power, e: int, P: int):
             raise ConsistencyError("eigenvalue multiplicities do not sum to the degree")
         if (mults @ z_pows[step * s] % P != mod_values[:, j]).any():
             raise ConsistencyError("lift does not reproduce the modular value")
-        # one nonzero scan per class, split by character with list slices
-        at, s_nz = np.nonzero(mults)
-        support = (step * s_nz).tolist()
-        counts = mults[at, s_nz].tolist()
-        bounds = np.searchsorted(at, np.arange(len(degs) + 1)).tolist()
-        for row, lo, hi in zip(values, bounds, bounds[1:]):
-            row.append(CycValue(e, tuple(support[lo:hi]), tuple(counts[lo:hi])))
-    return tuple(map(tuple, values))
+        lifted.append(mults)
+    return lifted
 
 
 def character_table(group: PermGroup, table: ClassTable) -> CharacterTable:
@@ -522,19 +498,18 @@ def _from_mod_values(table: ClassTable, mod_values: np.ndarray,
         raise ConsistencyError("mod-P row orthogonality failed")
 
     # --- exact lift, canonical ordering by (degree, lexicographic values) --
-    # rows compare as their tuples of value ids, which are the values'
-    # ranks by dense key; the sorted table's ids are these rows, sorted
-    values = _lift(mod_values, degrees, table.power, e, P)
-    distinct, value_id = _intern(values)
-    ranks = value_id.tolist()
-    order = sorted(range(len(degrees)), key=lambda r: (degrees[r], ranks[r]))
+    # class 0 is the identity, so its one-column block is the degree; the
+    # values at class j are sums over zeta^(s*e/o_j), so two of them compare
+    # as dense length-e multiplicity vectors as their o_j-long rows do
+    mults = _lift(mod_values, degrees, table.power, e, P)
+    order = np.lexsort(np.hstack(mults).T[::-1])
+    mults = tuple(m[order] for m in mults)
     result = CharacterTable(table=table, degrees=[degrees[i] for i in order],
-                            values=tuple(values[i] for i in order),
-                            exponent=e, modular_prime=P,
+                            mults=mults, exponent=e, modular_prime=P,
                             mod_values=mod_values[order])
-    # read-only, since the cached `_galois` reads it
-    result.mod_values.flags.writeable = False
-    vars(result)["_interned"] = (distinct, value_id[order])
+    # read-only, since the cached `_galois` and `values` read them
+    for a in (result.mod_values, *mults):
+        a.flags.writeable = False
     _verify_exact_orthogonality(result)
     return result
 
@@ -552,11 +527,13 @@ def _verify_exact_orthogonality(ct: CharacterTable):
     a nonzero beta would then have |N(beta)| >= (prod Q_i)^phi(e), against
     |N(beta)| <= S^phi(e).  So prod Q_i > S forces beta = 0.
 
-    Only zeta -> z is evaluated; the Galois action gives the other embeddings.
-    The values are the lift of mod_values, since `_from_mod_values` computes
-    them from it, whether the table was built or loaded.  So sigma_k(chi) is
-    chi read along g -> g^k, the lift of that mod-P row; for k = -1, chi at the
-    inverse classes, where `_gram` reads it.  If each generator k of the units
+    Only zeta -> z is evaluated, one product per class: class j's K x o_j
+    multiplicity matrix times the powers z^(s*e/o_j).  The Galois action
+    gives the other embeddings.  The multiplicities are the lift of
+    mod_values, since `_from_mod_values` computes them from it, whether the
+    table was built or loaded.  So sigma_k(chi) is chi read along g -> g^k,
+    the lift of that mod-P row; for k = -1, chi at the inverse classes,
+    where `_gram` reads it.  If each generator k of the units
     mod e maps the rows of mod_values onto the rows, every sigma_k therefore
     permutes the characters, and the row Gram matrix at z^k is the one at z
     with its rows and columns permuted.  For the square X over GF(Q),
@@ -574,11 +551,14 @@ def _verify_exact_orthogonality(ct: CharacterTable):
     # coefficient mass of any inner product; the constant adds at most n
     mass_row = sum(ct.table.sizes) * max_d * max_d
     mass_col = sum(d * d for d in ct.degrees)
-    distinct, value_id = ct._interned
+    orders = [m.shape[1] for m in ct.mults]
     eye = np.eye(len(ct.degrees), dtype=np.int64)
     for Q in _aux_primes(e, max(mass_row, mass_col) + n):
-        _check_int64(Q, len(ct.degrees))
-        X = _evaluations(distinct, e, Q)[value_id]
+        # the evaluations sum o_j products, the Gram K
+        _check_int64(Q, max(len(ct.degrees), *orders))
+        z = _root_powers(Q, e)
+        X = np.stack([m @ z[e // o * np.arange(o)] % Q
+                      for m, o in zip(ct.mults, orders)], axis=1)
         if not (_gram(X, ct.table, Q) == (n % Q) * eye).all():
             raise ConsistencyError("exact row orthogonality failed")
 

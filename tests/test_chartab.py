@@ -15,7 +15,7 @@ from regclass import chartab, harness
 from regclass.catalog import default_catalog, entry_by_key
 from regclass.chartab import (CHUNK, CycValue, RationalityFlags,
                               _aux_primes, _charpoly_mod, _check_int64,
-                              _eigen_split, _intern, _nullspace_mod,
+                              _eigen_split, _lift, _nullspace_mod,
                               _root_powers, _solve_coords, _unit_generators,
                               _units,
                               _verify_exact_orthogonality, brauer_cross_check,
@@ -247,27 +247,6 @@ def test_character_table_cache_roundtrip(tmp_path):
     assert (loaded.mod_values == ct.mod_values).all()
 
 
-@pytest.mark.parametrize("key", ["alt(5)", "psl2(7)", "frobenius(7,6)"])
-def test_table_finish_interns_its_values_once(key, tmp_path, monkeypatch):
-    """A fresh build and a cache load each intern the values once, and the
-    table's `_interned` is what `_intern` gives on its sorted values."""
-    group, _ = entry_by_key(key).build()
-    table = conjugacy_classes(group)
-    calls = []
-    monkeypatch.setattr(chartab, "_intern",
-                        lambda values: calls.append(1) or _intern(values))
-    ct = character_table(group, table)
-    path = tmp_path / "chars.txt"
-    save_character_table(ct, path)
-    loaded = load_character_table(table, path)
-    assert len(calls) == 2
-    for t in (ct, loaded):
-        distinct, value_id = t._interned
-        want_distinct, want_id = _intern(t.values)
-        assert distinct == want_distinct
-        assert np.array_equal(value_id, want_id)
-
-
 def test_character_table_cache_detects_tampering(tmp_path):
     group, _ = entry_by_key("alt(5)").build()
     table = conjugacy_classes(group)
@@ -353,9 +332,11 @@ def _reference_exact_orthogonality(ct, sizes, n):
     mass_row = int(np.sum(sizes)) * max_d * max_d
     mass_col = sum(d * d for d in ct.degrees)
     bound = max(mass_row, mass_col) + n
-    distinct, value_id = _intern(ct.values)
-    dense = np.zeros((len(distinct), e), dtype=np.int64)
-    for v, value in enumerate(distinct):
+    ids = {}
+    value_id = np.array([[ids.setdefault(v, len(ids)) for v in row]
+                         for row in ct.values], dtype=np.int64)
+    dense = np.zeros((len(ids), e), dtype=np.int64)
+    for value, v in ids.items():
         dense[v, list(value.support)] = value.mults
     units = _units(e)
     s = np.arange(e)
@@ -415,10 +396,21 @@ def test_lift_and_galois_table_match_scalar_references(key):
         return
     ct = harness.character_table_for(key)
     assert ct.values == _reference_lift(ct)
+    # the canonical row order: by degree, then by each value's dense
+    # length-e multiplicity vector, class by class
+    e = ct.exponent
+
+    def dense(v):
+        vec = [0] * e
+        for s, m in zip(v.support, v.mults):
+            vec[s] = m
+        return vec
+
+    keys = [(d, [dense(v) for v in row]) for d, row in zip(ct.degrees, ct.values)]
+    assert keys == sorted(keys)
     sizes = np.array(table.sizes, dtype=np.int64)
     _verify_exact_orthogonality(ct)
     _reference_exact_orthogonality(ct, sizes, group.order)
-    e = ct.exponent
     # sigma_k of the lift is the lift read along g -> g^k: for k = -1 the
     # complex conjugate at the inverse class, which `_gram` reads in place of
     # an evaluation at zeta -> z^-1, and for each generator of the units
@@ -504,16 +496,22 @@ def test_norm_bound_decides_vanishing(case):
 
 
 def test_exact_orthogonality_rejects_a_galois_conjugate_cell(tables):
+    """sigma_k on one cell of class j moves its multiplicity at s to
+    s*k mod o_j; the mod-P rows still permute under the unit generators, and
+    the Gram at zeta -> z must refuse the exact values."""
     _, table, ct = tables("alt(5)")
     _verify_exact_orthogonality(ct)
     e = ct.exponent
     r, j, k = next((r, j, k) for r, row in enumerate(ct.values)
                    for j, v in enumerate(row) for k in range(2, e)
                    if gcd(k, e) == 1 and v.galois(k) != v)
-    values = [list(row) for row in ct.values]
-    values[r][j] = values[r][j].galois(k)
+    mults = [m.copy() for m in ct.mults]
+    o = mults[j].shape[1]
+    mults[j][r, np.arange(o) * k % o] = ct.mults[j][r]
+    conjugated = dataclasses.replace(ct, mults=tuple(mults))
+    assert conjugated.values[r][j] == ct.values[r][j].galois(k)
     with pytest.raises(ConsistencyError, match="exact row orthogonality"):
-        _verify_exact_orthogonality(dataclasses.replace(ct, values=values))
+        _verify_exact_orthogonality(conjugated)
 
 
 def test_exact_orthogonality_rejects_rows_not_closed_under_galois(tables):
@@ -526,11 +524,12 @@ def test_exact_orthogonality_rejects_rows_not_closed_under_galois(tables):
     sizes = np.array(table.sizes, dtype=np.int64)
     a, b = [j for j, c in enumerate(table.classes) if c.order == 7]
     r = next(r for r, row in enumerate(ct.values) if row[a] != row[b])
-    values = [list(row) for row in ct.values]
-    values[r][a], values[r][b] = values[r][b], values[r][a]
+    mults = [m.copy() for m in ct.mults]
+    mults[a][r], mults[b][r] = ct.mults[b][r], ct.mults[a][r]
     mod_values = ct.mod_values.copy()
     mod_values[r, [a, b]] = mod_values[r, [b, a]]
-    swapped = dataclasses.replace(ct, values=values, mod_values=mod_values)
+    swapped = dataclasses.replace(ct, mults=tuple(mults), mod_values=mod_values)
+    assert swapped.values[r][a] == ct.values[r][b]
     with pytest.raises(ConsistencyError, match="does not permute the rows"):
         _verify_exact_orthogonality(swapped)
     with pytest.raises(ConsistencyError, match="exact row orthogonality"):
@@ -538,18 +537,66 @@ def test_exact_orthogonality_rejects_rows_not_closed_under_galois(tables):
 
 
 def test_character_values_cannot_be_edited_in_place(tables):
-    """The Galois table is cached on first use, so the values and the values
-    mod P it was read from are immutable: an in-place cell edit raises
-    instead of leaving the cache stale."""
+    """The Galois table and the exact values are cached on first use, so the
+    multiplicities and the values mod P they are read from are immutable:
+    an in-place cell edit raises instead of leaving a cache stale."""
     _, _, ct = tables("alt(5)")
     galois = [a.tolist() for a in ct._galois]
+    values = ct.values
     with pytest.raises(TypeError):
         ct.values[1][1] = ct.values[1][1].galois(7)
     with pytest.raises(ValueError):
         ct.mod_values[0, 0] = 1
+    with pytest.raises(ValueError):
+        ct.mults[1][1, 0] += 1
     with pytest.raises(dataclasses.FrozenInstanceError):
         ct.values = ()
+    assert ct.values is values
+    assert ct.values == dataclasses.replace(ct).values
     assert [a.tolist() for a in ct._galois] == galois
+
+
+def test_lift_rejects_a_degree_cell_too_small(tables):
+    """One less in a row's identity cell, and so in its degree: the
+    identity class lifts, and at every other class the multiplicities still
+    sum to the degree and reproduce the value, but each is shifted by
+    -1/o mod P, far out of range."""
+    _, table, ct = tables("alt(5)")
+    mod_values = ct.mod_values.copy()
+    r = ct.degrees.index(4)
+    mod_values[r, 0] -= 1
+    with pytest.raises(ConsistencyError, match="multiplicity out of range"):
+        _lift(mod_values, mod_values[:, 0].tolist(), table.power,
+              ct.exponent, ct.modular_prime)
+
+
+def test_lift_rejects_multiplicities_not_summing_to_the_degree(tables):
+    """alt(5)'s character of degree 4 vanishes on the involutions.  A power
+    list for their class that starts at the class itself instead of the
+    identity lifts that 0 to all-zero multiplicities: in range, and the value
+    reproduces, but they sum to 0, not 4.  That row is lifted alone, since
+    the rows that do not vanish there leave the range first."""
+    _, table, ct = tables("alt(5)")
+    j = next(j for j, c in enumerate(table.classes) if c.order == 2)
+    r = ct.degrees.index(4)
+    assert ct.mod_values[r, j] == 0
+    power = list(table.power)
+    power[j] = np.full(2, j)
+    with pytest.raises(ConsistencyError, match="do not sum to the degree"):
+        _lift(ct.mod_values[[r]], [4], power, ct.exponent, ct.modular_prime)
+
+
+def test_lift_rejects_a_lift_that_does_not_reproduce_the_value(tables):
+    """Class a of order 5 given the power list of the other class b of
+    order 5: its multiplicities are b's, in range and summing to the degree,
+    but they evaluate to chi(b), which differs from chi(a) on the
+    characters of degree 3."""
+    _, table, ct = tables("alt(5)")
+    a, b = [j for j, c in enumerate(table.classes) if c.order == 5]
+    power = list(table.power)
+    power[a] = table.power[b]
+    with pytest.raises(ConsistencyError, match="does not reproduce"):
+        _lift(ct.mod_values, ct.degrees, power, ct.exponent, ct.modular_prime)
 
 
 def test_brauer_cross_check_rejects_a_wrong_power_map(tables):
