@@ -39,29 +39,21 @@ each value as its dense length-e multiplicity vector.
 A table is finished in one place, `_from_mod_values`, from its values mod P:
 a fresh build gets them from the eigenvectors, a cache load reads them from
 the file.  Either way the degrees, mod-P orthogonality, the lift and exact
-row and column orthogonality are checked before a table is returned, the
-last modulo auxiliary primes Q = 1 (mod e); P and each Q come from one scan
-and meet the int64 bound of `_check_int64`.  An inner product minus its
-constant is a cyclotomic integer beta whose conjugates are all at most S
-(the coefficient mass plus |G|) in absolute value; if it vanishes mod Q at
-every embedding zeta -> z^k, it lies in Q Z[zeta], so once the product of
-the primes exceeds S its norm forces beta = 0.  The table is evaluated at
-z only, by one product per class and prime (the class's multiplicity array
-times the powers of z it sums), each conjugate read at the inverse class;
-once every generator of the units mod e permutes the rows, the Galois action
-carries the check to every primitive e-th root.  One row Gram, `_gram`, gives
-the degrees and both relations: in a square table, rows imply columns.
+orthogonality are checked before a table is returned, the last modulo
+auxiliary primes Q = 1 (mod e) at zeta -> z only, the Galois action of the
+unit generators carrying it to every primitive e-th root
+(`_verify_exact_orthogonality`); P and each Q come from one scan and meet
+the int64 bound of `_check_int64`.  One row Gram, `_gram`, gives the degrees
+and both relations: in a square table, rows imply columns.
 
-Every question "fixed by the subgroup {k = 1 mod m} of the units mod e" is
-read off a table over the units by masking its columns, and there is one
-Galois action: sigma_k(chi)(g) = chi(g^k).  For a unit k, pi_k sends class j
-to the class of rep_j^k, power[j][k mod o_j] in the power table.  sigma_k
-fixes chi iff chi's row mod P read along pi_k is that row: the lift reads a
-row mod P only along the power maps, so equal rows mod P lift to equal exact
-rows.  g -> g^k fixes class j iff pi_k[j] = j.  The units act through far
-fewer distinct permutations than there are units, and each distinct pi_k is
-read once, for the characters (rational, p-rational, p'-rational, Q_p-valued)
-and the classes alike; the Brauer cross-check compares the two sides.
+There is one Galois action, sigma_k(chi)(g) = chi(g^k), read from the unit
+generators alone (`_unit_generators`): the units mod e are never listed.
+pi_k sends class j to the class of rep_j^k, power[j][k mod o_j]; sigma_k
+fixes chi iff chi's row mod P read along pi_k is that row (the lift reads
+rows mod P only along the power maps), and g -> g^k fixes class j iff
+pi_k[j] = j.  {k = 1 mod m} fixes what its generators, those = 1 (mod m),
+fix (`_fixed_by`).  The closure of the generators' permutations holds each
+distinct pi_k once (`_galois_closure`); the Brauer check compares both sides.
 """
 
 from dataclasses import dataclass
@@ -103,29 +95,50 @@ class CycValue:
                         tuple(m for _, m in pairs))
 
 
-def _units(e: int) -> np.ndarray:
-    """The residues mod e coprime to e, ascending (just 0 when e = 1)."""
-    return np.array([k for k in range(e) if gcd(k, e) == 1], dtype=np.int64)
-
-
-def _unit_generators(e: int) -> list[int]:
-    """Generators of the units mod e, none equal to 1: for each p^a || e, a
-    primitive root mod p^a (or -1 and 5 mod 2^a, a >= 3, where there is
-    none), lifted by CRT to 1 mod the rest of e."""
-    gens = []
+def _unit_generators(e: int) -> dict[int, list[int]]:
+    """Generators of the units mod e by prime p | e: for p^a || e, a
+    primitive root mod p^a (-1 and 5 if p = 2, a >= 3) and for odd p, a >= 2
+    also 1 + p, each but 1 lifted by CRT to 1 mod e/p^a.  For m = 1, e/p^a,
+    p^a and p, those = 1 (mod m) generate {k = 1 mod m}."""
+    gens = {}
     for p, a in factorize(e).pairs:
         pa = p**a
-        rest = e // pa
-        local = [primitive_root(pa)] if p > 2 or a < 3 else [pa - 1, 5]
-        gens += [(g * rest * pow(rest, -1, pa) + pa * pow(pa, -1, rest)) % e
-                 for g in local]
-    return [g for g in gens if g != 1 % e]
+        u = e // pa * pow(e // pa, -1, pa)  # 1 mod p^a, 0 mod e/p^a
+        local = ([pa - 1, 5] if p == 2 and a >= 3 else
+                 [primitive_root(pa)] + [1 + p] * (p > 2 and a >= 2))
+        gens[p] = [(1 + (g - 1) * u) % e for g in local if g % pa != 1]
+    return gens
 
 
-def _fixed_mod(fixed: np.ndarray, units: np.ndarray, m: int) -> np.ndarray:
-    """Per row of fixed[row, u]: fixed by every unit k = 1 (mod m), the
-    columns of that subgroup of the units."""
-    return fixed[:, units % m == 1 % m].all(axis=1)
+def _generator_maps(table: ClassTable) -> dict[int, np.ndarray]:
+    """pi_k, class j -> the class of rep_j^k, for k = 1 and each generator."""
+    e = table.exponent
+    ks = [1 % e] + [g for gens in _unit_generators(e).values() for g in gens]
+    return {k: np.array(power_class_map(table, k), dtype=np.intp) for k in ks}
+
+
+def _galois_closure(table: ClassTable):
+    """(units, perms, at): each distinct pi_k of the units k mod e once, by
+    a breadth-first search over the generators' maps (k*g reached as
+    pi_g[pi_k]) with the unit that reached it first; at[k] indexes pi_k for
+    k = 1 (first) and each generator.  No other unit is listed."""
+    e = table.exponent
+    maps = _generator_maps(table)
+    index: dict[bytes, int] = {}  # a dict: np.unique imports numpy.ma
+    units, perms, queue = [], [], list(maps.items())
+    for k, pi in queue:  # the queue grows as it is read
+        if index.setdefault(pi.tobytes(), len(units)) == len(units):
+            units.append(k)
+            perms.append(pi)
+            queue += [(k * g % e, pg[pi]) for g, pg in maps.items()]
+    at = {k: index[pi.tobytes()] for k, pi in maps.items()}
+    return units, np.stack(perms), at
+
+
+def _fixed_by(fixed: np.ndarray, at: dict[int, int], m: int) -> np.ndarray:
+    """Per column of fixed[perm, x]: fixed by {k = 1 mod m}, that is by pi_k
+    for 1 and each generator k = 1 (mod m), at[k] its perm."""
+    return fixed[[i for k, i in at.items() if k % m == 1 % m]].all(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -156,9 +169,14 @@ def dixon_prime(e: int, group_order: int) -> int:
 @lru_cache(maxsize=None)
 def _root_powers(p: int, e: int) -> np.ndarray:
     """z^0, ..., z^(e-1) mod p, z = g^((p-1)/e) for the least primitive root
-    g mod p (e | p - 1); read-only, since every caller shares one array."""
+    g mod p (e | p - 1), as z^(aB+b) = (z^B)^a z^b, B = ceil(sqrt(e)), in one
+    outer product; read-only, since every caller shares one array."""
+    _check_int64(p, 1)
     z = pow(primitive_root(p), (p - 1) // e, p)
-    powers = np.array([pow(z, t, p) for t in range(e)], dtype=np.int64)
+    B = isqrt(e - 1) + 1
+    low, high = (np.array([pow(z, s * t, p) for t in range(B)], dtype=np.int64)
+                 for s in (1, B))
+    powers = (np.outer(high, low) % p).ravel()[:e]
     powers.flags.writeable = False
     return powers
 
@@ -364,24 +382,13 @@ class CharacterTable:
         return tuple(map(tuple, values))
 
     @cached_property
-    def _galois(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The units k mod e (see `_units`), rows_fixed[character, unit] and
-        classes_fixed[class, unit], both read along pi_k, the class
-        permutation j -> power[j][k mod o_j] of g -> g^k: sigma_k fixes a
-        character iff its row mod P read along pi_k is that row, and g -> g^k
-        fixes class j iff pi_k[j] = j.  Each distinct pi_k is read once."""
-        units = _units(self.exponent)
-        maps = np.stack([pw[units % len(pw)] for pw in self.table.power], axis=1)
-        # distinct by a dict: np.unique imports numpy.ma on its first call
-        ids: dict[bytes, int] = {}
-        which = np.array([ids.setdefault(pi.tobytes(), len(ids)) for pi in maps],
-                         dtype=np.intp)
-        perms = np.empty((len(ids), maps.shape[1]), dtype=maps.dtype)
-        perms[which] = maps
+    def _galois(self):
+        """`_galois_closure` with rows_fixed[i, character]: sigma_k fixes it
+        for pi_k = perms[i], i.e. its row mod P read along pi_k is that row."""
+        units, perms, at = _galois_closure(self.table)
         X = self.mod_values
-        rows_fixed = np.stack([(X[:, pi] == X).all(axis=1) for pi in perms], axis=1)
-        classes_fixed = (perms == np.arange(len(X))).T
-        return units, rows_fixed[:, which], classes_fixed[:, which]
+        rows_fixed = np.stack([(X[:, pi] == X).all(axis=1) for pi in perms])
+        return units, perms, rows_fixed, at
 
 
 def _gram(X: np.ndarray, table: ClassTable, m: int) -> np.ndarray:
@@ -439,8 +446,7 @@ def _mod_table(table: ClassTable, P: int) -> np.ndarray:
     subspaces = [(np.eye(K, dtype=np.int64), np.arange(K))]
     computed = []
     at = np.empty(K, dtype=np.intp)
-    maps = [power_class_map(table, k) for k in _unit_generators(table.exponent)]
-    roots, orbit_id = orbits(maps, K)
+    roots, orbit_id = orbits(_generator_maps(table).values(), K)
     later = roots[orbit_id] != np.arange(K)
     order = sorted(range(1, K), key=lambda i: (later[i], table.classes[i].size, i))
     for i in order:
@@ -528,23 +534,20 @@ def _verify_exact_orthogonality(ct: CharacterTable):
     |N(beta)| <= S^phi(e).  So prod Q_i > S forces beta = 0.
 
     Only zeta -> z is evaluated, one product per class: class j's K x o_j
-    multiplicity matrix times the powers z^(s*e/o_j).  The Galois action
-    gives the other embeddings.  The multiplicities are the lift of
-    mod_values, since `_from_mod_values` computes them from it, whether the
-    table was built or loaded.  So sigma_k(chi) is chi read along g -> g^k,
-    the lift of that mod-P row; for k = -1, chi at the inverse classes,
-    where `_gram` reads it.  If each generator k of the units
-    mod e maps the rows of mod_values onto the rows, every sigma_k therefore
-    permutes the characters, and the row Gram matrix at z^k is the one at z
-    with its rows and columns permuted.  For the square X over GF(Q),
-    X D (X I')^T = n I, with D = diag(|C_j|) and I' the involution
-    j -> j^-1, gives the column relations X^T (X I') = n D^-1."""
+    multiplicity matrix times the powers z^(s*e/o_j).  The multiplicities
+    are the lift of mod_values (`_from_mod_values` computes them from it,
+    built or loaded), so sigma_k(chi) is chi read along pi_k, the lift of
+    that mod-P row; for k = -1, chi at the inverse classes, where `_gram`
+    reads it.  If each generator's pi_k (`_generator_maps`) maps the rows of
+    mod_values onto the rows, every sigma_k permutes the characters, and the
+    Gram at z^k is the one at z with rows and columns permuted.  For the
+    square X over GF(Q), X D (X I')^T = n I, with D = diag(|C_j|) and I' the
+    involution j -> j^-1, gives the column relations X^T (X I') = n D^-1."""
     e = ct.exponent
     n = ct.table.group.order
     rows = sorted(map(tuple, ct.mod_values.tolist()))
-    for k in _unit_generators(e):
-        mapped = ct.mod_values[:, power_class_map(ct.table, k)]
-        if sorted(map(tuple, mapped.tolist())) != rows:
+    for k, pi in _generator_maps(ct.table).items():
+        if sorted(map(tuple, ct.mod_values[:, pi].tolist())) != rows:
             raise ConsistencyError(f"exact row orthogonality failed: sigma_{k} "
                                    "does not permute the rows")
     max_d = max(ct.degrees)
@@ -577,19 +580,16 @@ class RationalityFlags:
 
 def classify_rationality(ct: CharacterTable, p: int) -> list[RationalityFlags]:
     """Rational, p-rational, p'-rational and Q_p-valued: fixed by every unit
-    k mod e with k = 1 mod 1, e_p', e_p and gcd(e, p) respectively."""
+    k mod e with k = 1 mod 1, e_p', e_p and gcd(e, p) respectively, each
+    subgroup read on its generators (`_fixed_by`).  The generators of the
+    first are those of the second and third together, so a character is
+    rational iff it is p-rational and p'-rational."""
     e = ct.exponent
     e_p = p_part(e, p)
-    units, rows_fixed, _ = ct._galois
-    flags = []
-    columns = zip(*(_fixed_mod(rows_fixed, units, m).tolist()
-                    for m in (1, e // e_p, e_p, gcd(e, p))))
-    for r, rp, rpp, qp in columns:
-        if r != (rp and rpp):
-            raise ConsistencyError("rationality flags are inconsistent")
-        flags.append(RationalityFlags(is_rational=r, is_p_rational=rp,
-                                      is_p_prime_rational=rpp, is_Qp_valued=qp))
-    return flags
+    _, _, rows_fixed, at = ct._galois
+    columns = (_fixed_by(rows_fixed, at, m).tolist()
+               for m in (1, e // e_p, e_p, gcd(e, p)))
+    return [RationalityFlags(*f) for f in zip(*columns)]
 
 
 @dataclass(frozen=True)
@@ -625,30 +625,28 @@ def character_count_report(ct: CharacterTable, p: int) -> CharacterCounts:
 # ---------------------------------------------------------------------------
 
 def brauer_cross_check(ct: CharacterTable) -> None:
-    """For every Galois element sigma_k: the number of fixed characters must
-    equal the number of classes fixed by g -> g^k, both read along the power
+    """At every distinct class permutation pi_k: the characters sigma_k fixes
+    must be as many as the classes g -> g^k fixes, both read along the power
     table ct was built from.  For each prime p dividing |G|, the characters
-    fixed by H_p = {k = 1 mod e_p'} (the p-rational ones) must be as many as
-    the classes H_p fixes and at least k_{p'}, wherever H_p, which is
-    (Z/e_p)^*, is cyclic: for odd p, and for p = 2 when e_2 <= 4 (by
-    Brauer's permutation lemma both counts are then those of a generator).
-    Any mismatch is a hard engine failure."""
-    units, rows_fixed, classes_fixed = ct._galois
-    chars_count = rows_fixed.sum(axis=0)
-    classes_count = classes_fixed.sum(axis=0)
-    bad = np.flatnonzero(chars_count != classes_count)
-    if len(bad):
-        u = bad[0]
-        raise ConsistencyError(
-            f"Brauer count mismatch at k={units[u]}: {chars_count[u]} characters "
-            f"vs {classes_count[u]} classes")
+    fixed by H_p = {k = 1 mod e_p'} (the p-rational ones), read on the
+    generators at p, must be as many as the classes those fix and at least
+    k_{p'}, wherever H_p = (Z/e_p)^* is cyclic: for odd p, and for p = 2
+    when e_2 <= 4 (by Brauer's permutation lemma both counts are then those
+    of a generator).  Any mismatch is a hard engine failure."""
+    units, perms, rows_fixed, at = ct._galois
+    classes_fixed = perms == np.arange(perms.shape[1])
+    counts = zip(units, rows_fixed.sum(axis=1), classes_fixed.sum(axis=1))
+    for k, chars, classes in counts:
+        if chars != classes:
+            raise ConsistencyError(f"Brauer count mismatch at k={k}: {chars} "
+                                   f"characters vs {classes} classes")
     e = ct.exponent
     for p in factorize(ct.table.group.order).primes():
         e_p = p_part(e, p)
         if p == 2 and e_p > 4:
             continue
-        table_count = int(_fixed_mod(rows_fixed, units, e // e_p).sum())
-        class_count = int(_fixed_mod(classes_fixed, units, e // e_p).sum())
+        table_count = int(_fixed_by(rows_fixed, at, e // e_p).sum())
+        class_count = int(_fixed_by(classes_fixed, at, e // e_p).sum())
         if table_count != class_count:
             raise ConsistencyError(
                 f"p-rational count mismatch at p={p}: table {table_count} "

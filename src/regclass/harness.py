@@ -311,7 +311,7 @@ def verify_theorem3(entries=None) -> VerificationReport:
         table = class_table_for(e.key)
         ct = character_table_for(e.key)
         # engine cross-check: Galois fixed characters vs power-map fixed
-        # classes, for every unit; hard failure raises
+        # classes, at every distinct pi_k; hard failure raises
         chartab.brauer_cross_check(ct)
         cases.append(CaseRecord(
             id=f"thm3:{e.key}:galois-cross-check", group=e.key, p=None,

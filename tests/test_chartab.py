@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import itertools
+import re
 from math import gcd, prod
 
 import numpy as np
@@ -16,8 +17,8 @@ from regclass.catalog import default_catalog, entry_by_key
 from regclass.chartab import (CHUNK, CycValue, RationalityFlags,
                               _aux_primes, _charpoly_mod, _check_int64,
                               _eigen_split, _lift, _nullspace_mod,
-                              _root_powers, _solve_coords, _unit_generators,
-                              _units,
+                              _galois_closure, _root_powers, _solve_coords,
+                              _unit_generators,
                               _verify_exact_orthogonality, brauer_cross_check,
                               character_count_report, character_table,
                               class_matrix, classify_rationality, dixon_prime,
@@ -28,6 +29,13 @@ from regclass.permgroup import (ClassTable, ConsistencyError, PermGroup,
                                 ResourceLimitError, class_counts,
                                 conjugacy_classes, inverse_rows, perm_power,
                                 power_class_map)
+
+
+def _listed_units(e):
+    """The residues mod e coprime to e, ascending (just 0 when e = 1), by
+    gcd: the references list them, the engine never does."""
+    return [k for k in range(e) if gcd(k, e) == 1]
+
 
 # degree multisets frozen from standard character-table references
 KNOWN_DEGREES = {
@@ -338,7 +346,7 @@ def _reference_exact_orthogonality(ct, sizes, n):
     dense = np.zeros((len(ids), e), dtype=np.int64)
     for value, v in ids.items():
         dense[v, list(value.support)] = value.mults
-    units = _units(e)
+    units = np.array(_listed_units(e), dtype=np.int64)
     s = np.arange(e)
     eye = np.eye(K, dtype=np.int64)
     step = max(1, CHUNK // (K * K))
@@ -414,33 +422,105 @@ def test_lift_and_galois_table_match_scalar_references(key):
     # sigma_k of the lift is the lift read along g -> g^k: for k = -1 the
     # complex conjugate at the inverse class, which `_gram` reads in place of
     # an evaluation at zeta -> z^-1, and for each generator of the units
-    for k in [e - 1] + _unit_generators(e):
+    gens = [g for local in _unit_generators(e).values() for g in local]
+    for k in [e - 1] + gens:
         at = power_class_map(table, k)
         assert all(row[at[j]] == v.galois(k)
                    for row in ct.values for j, v in enumerate(row))
-    units = [k for k in range(e) if gcd(k, e) == 1]  # [0] when e = 1
+    # the closure of the generators' permutations is {pi_k : k a unit}, and
+    # the rows it finds fixed at pi_k are those sigma_k fixes, at every unit
+    units = _listed_units(e)
     reference = _reference_fixed(ct, units)
-    units_read, rows_fixed, classes_fixed = ct._galois
-    assert units_read.tolist() == units
-    assert rows_fixed.T.tolist() == list(reference.values())
-    assert classes_fixed.T.tolist() == [
-        [i == j for j, i in enumerate(power_class_map(table, k))] for k in units]
+    units_read, perms, rows_fixed, _ = ct._galois
+    index = {tuple(pi): i for i, pi in enumerate(perms.tolist())}
+    assert len(index) == len(perms) == len(units_read)
+    for k in units:
+        i = index[tuple(power_class_map(table, k))]
+        assert rows_fixed[i].tolist() == reference[k]
+    assert set(index) == {tuple(power_class_map(table, k)) for k in units}
+    for k, pi in zip(units_read, perms.tolist()):
+        assert power_class_map(table, k) == pi
     for p in factorize(group.order).primes():
         assert classify_rationality(ct, p) == _reference_flags(ct, p, reference)
 
 
-def test_unit_generators_generate_the_units():
-    """The exact check lets the generators stand for every unit: for each
-    e <= 300 their closure under multiplication mod e is all of the units,
-    and none of them is 1."""
+def _closure(gens, e):
+    """The closure of {1} under multiplication by gens mod e."""
+    reached, frontier = {1 % e}, {1 % e}
+    while frontier:
+        frontier = {x * g % e for x in frontier for g in gens} - reached
+        reached |= frontier
+    return reached
+
+
+def test_grouped_unit_generators_generate_each_subgroup():
+    """For each e <= 300 the generators, none of them 1, are grouped by the
+    primes p | e.  The flags read {k = 1 mod m} on the generators that are
+    1 mod m (`_fixed_by`), so for each such p and m = 1, e/e_p, e_p and p
+    those must generate it in the units mod e, listed here by gcd: all
+    generators give the units, those at p give {k = 1 mod e/e_p}, those at
+    the other primes {k = 1 mod e_p}, and the Q_p set {k = 1 mod p}."""
     for e in range(1, 301):
-        gens = _unit_generators(e)
-        assert 1 % e not in gens
-        reached, frontier = {1 % e}, {1 % e}
-        while frontier:
-            frontier = {x * g % e for x in frontier for g in gens} - reached
-            reached |= frontier
-        assert sorted(reached) == _units(e).tolist()
+        grouped = _unit_generators(e)
+        assert list(grouped) == list(factorize(e).primes())
+        every = [g for local in grouped.values() for g in local]
+        assert 1 % e not in every
+        units = _listed_units(e)
+
+        def one_mod(m):
+            return [g for g in every if g % m == 1 % m]
+
+        assert one_mod(1) == every
+        assert sorted(_closure(every, e)) == units
+        for p, at_p in grouped.items():
+            e_p = p_part(e, p)
+            assert one_mod(e // e_p) == at_p
+            assert one_mod(e_p) == [g for g in every if g not in at_p]
+            for m in (e // e_p, e_p, p):
+                assert sorted(_closure(one_mod(m), e)) == \
+                    [k for k in units if k % m == 1 % m], (e, p, m)
+
+
+def test_root_powers_are_the_powers_of_z():
+    """The outer-product powers equal one pow per power, and are read-only:
+    at P and at every auxiliary prime Q of alt(5), of frobenius(101,10)
+    (e = 1010) and of the trivial group (e = 1)."""
+    trivial = PermGroup(2, [np.arange(2)])
+    cts = [harness.character_table_for(key)
+           for key in ("alt(5)", "frobenius(101,10)")]
+    cts.append(character_table(trivial, conjugacy_classes(trivial)))
+    for ct in cts:
+        e, n = ct.exponent, ct.table.group.order
+        bound = n * max(ct.degrees) ** 2 + n
+        for p in [ct.modular_prime] + _aux_primes(e, bound):
+            powers = _root_powers(p, e)
+            z = pow(primitive_root(p), (p - 1) // e, p)
+            assert powers.tolist() == [pow(z, t, p) for t in range(e)]
+            assert not powers.flags.writeable
+    assert cts[-1].exponent == 1
+
+
+def test_galois_closure_of_an_exponent_past_the_cap():
+    """psl2(263) (e = 4,547,796, phi(e) = 1,362,400 units, 134 classes; no
+    character table at this class count) has 2,600 distinct class
+    permutations pi_k, each fixing the identity class, and the closure of
+    its generators' permutations finds every one: pi_k of 1,000 seeded
+    random units k is among them."""
+    table = harness.class_table_for("psl2(263)")
+    e = table.exponent
+    units, perms, _ = _galois_closure(table)
+    assert perms.shape == (2600, 134) == (len(units), len(table))
+    assert (perms[:, 0] == 0).all()
+    found = {pi.tobytes() for pi in perms}
+    assert len(found) == 2600
+    rng = np.random.default_rng(263)
+    checked = 0
+    while checked < 1000:
+        k = int(rng.integers(1, e))
+        if gcd(k, e) == 1:
+            pi = np.array(power_class_map(table, k), dtype=perms.dtype)
+            assert pi.tobytes() in found
+            checked += 1
 
 
 @st.composite
@@ -491,7 +571,7 @@ def test_norm_bound_decides_vanishing(case):
         vanishes = all(
             sum(cs * int(z[s * k % e]) for s, cs in enumerate(c)) % Q == 0
             for Q in primes for z in [_root_powers(Q, e)]
-            for k in _units(e).tolist())
+            for k in _listed_units(e))
         assert vanishes == is_zero
 
 
@@ -541,7 +621,12 @@ def test_character_values_cannot_be_edited_in_place(tables):
     multiplicities and the values mod P they are read from are immutable:
     an in-place cell edit raises instead of leaving a cache stale."""
     _, _, ct = tables("alt(5)")
-    galois = [a.tolist() for a in ct._galois]
+
+    def galois():
+        units, perms, rows_fixed, at = ct._galois
+        return units, perms.tolist(), rows_fixed.tolist(), at
+
+    before = galois()
     values = ct.values
     with pytest.raises(TypeError):
         ct.values[1][1] = ct.values[1][1].galois(7)
@@ -553,7 +638,7 @@ def test_character_values_cannot_be_edited_in_place(tables):
         ct.values = ()
     assert ct.values is values
     assert ct.values == dataclasses.replace(ct).values
-    assert [a.tolist() for a in ct._galois] == galois
+    assert galois() == before
 
 
 def test_lift_rejects_a_degree_cell_too_small(tables):
@@ -600,17 +685,20 @@ def test_lift_rejects_a_lift_that_does_not_reproduce_the_value(tables):
 
 
 def test_brauer_cross_check_rejects_a_wrong_power_map(tables):
-    """On psl2(7) (e = 84) sigma_5 swaps the two classes of order 7; a
-    power table in which one of them is fixed by every power map must fail
-    the check."""
+    """On psl2(7) (e = 84) sigma_k swaps the two classes of order 7 for
+    every k that is a non-square mod 7; a power table in which one of them
+    is fixed by every power map must fail the check, at a permutation whose
+    unit is such a k."""
     _, table, ct = tables("psl2(7)")
     j = next(j for j, c in enumerate(table.classes) if c.order == 7)
     tampered = copy.copy(table)
     tampered.power = list(table.power)
     tampered.power[j] = np.full(7, j)
     tampered.power[j][0] = 0
-    with pytest.raises(ConsistencyError, match="Brauer count mismatch at k=5"):
+    with pytest.raises(ConsistencyError, match="Brauer count mismatch") as err:
         brauer_cross_check(dataclasses.replace(ct, table=tampered))
+    k = int(re.search(r"at k=(\d+):", str(err.value)).group(1))
+    assert k % 7 in (3, 5, 6)
 
 
 def test_brauer_cross_check_counts_2_rational_characters(tables):
